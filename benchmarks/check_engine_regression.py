@@ -21,15 +21,9 @@ Two checks, two purposes:
 Plus the mega-sweep gates (DESIGN.md §14), all same-machine /
 absolute so no baseline entry is needed:
 
-3. ``mega.cell.vector_speedup`` >= ``--min-vector-speedup`` (default
-   3.0): the vectorized engine must stay >= 3x the scalar one on the
-   overloaded FIX-4 cell where batching pays.
-4. ``mega.cell.max_abs_latency_diff_ms`` <= ``--max-vector-diff``
-   (default 1e-9): the vectorized path may not drift from the scalar
-   engine (in practice the divergence is exactly 0.0).
-5. ``mega.stream.peak_traced_mb`` <= ``--max-stream-peak-mb`` (default
+3. ``mega.stream.peak_traced_mb`` <= ``--max-stream-peak-mb`` (default
    64): a streamed mega-run must hold O(running set) memory, not O(n).
-6. ``mega.sharded.workers_identical`` must attest that the sharded
+4. ``mega.sharded.workers_identical`` must attest that the sharded
    sweep's merged summaries are bit-identical for any worker count.
 
 Exit code 0 = pass, 1 = regression, 2 = bad input.
@@ -55,18 +49,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=1.5,
         help="min same-machine speedup vs the frozen reference engine",
-    )
-    parser.add_argument(
-        "--min-vector-speedup",
-        type=float,
-        default=3.0,
-        help="min same-machine vectorized-vs-scalar speedup on the mega cell",
-    )
-    parser.add_argument(
-        "--max-vector-diff",
-        type=float,
-        default=1e-9,
-        help="max per-record latency divergence (ms) of the vectorized engine",
     )
     parser.add_argument(
         "--max-stream-peak-mb",
@@ -95,26 +77,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if not report["single_process"].get("bit_identical_to_reference", False):
         failed = fail("report does not attest bit-identity")
-
-    vector_speedup = float(
-        get_path(report, args.report, "mega", "cell", "vector_speedup")
-    )
-    print(f"vectorized engine speedup vs scalar (mega cell): {vector_speedup:.2f}x")
-    if vector_speedup < args.min_vector_speedup:
-        failed = fail(
-            f"vectorized speedup fell to {vector_speedup:.2f}x "
-            f"(< {args.min_vector_speedup:.2f}x)"
-        )
-
-    vector_diff = float(
-        get_path(report, args.report, "mega", "cell", "max_abs_latency_diff_ms")
-    )
-    print(f"vectorized max per-record latency divergence: {vector_diff:g} ms")
-    if vector_diff > args.max_vector_diff:
-        failed = fail(
-            f"vectorized engine diverges from scalar by {vector_diff:g} ms "
-            f"(> {args.max_vector_diff:g})"
-        )
 
     stream_peak = float(
         get_path(report, args.report, "mega", "stream", "peak_traced_mb")

@@ -541,45 +541,34 @@ def bench_engine(scale: Scale) -> dict:
         raise AssertionError("parallel sweep diverged from the serial runner")
 
     # --- mega-sweep machinery (DESIGN.md §14) -------------------------
-    # (a) Vectorized engine A/B on an overloaded FIX-4 cell: the large
-    # running set is where numpy batching pays; the gate demands >= 3x
-    # and a max per-record latency divergence <= 1e-9 ms (it is 0.0).
+    # (a) The overloaded FIX-4 cell: hundreds of concurrently running
+    # requests, so every event visits a large running set — the
+    # baseline an O(log n) engine core is measured against.
     import tracemalloc
 
     from repro.experiments.runner import stream_policy
     from repro.parallel import run_sharded_sweep
-    from repro.sim.vector import VectorEngine
 
-    # Fixed-size cell (not scale-dependent): the speedup is a function
-    # of running-set size, and this configuration drives it deep into
-    # the hundreds where the numpy batches dominate; scaling it with
-    # --scale would just move the measured ratio around.
+    # Fixed-size cell (not scale-dependent): per-event cost is a
+    # function of running-set size, and this configuration drives it
+    # deep into the hundreds; scaling it with --scale would just move
+    # the measured rate around.
     cell_requests, cell_rps, cell_cores = 3000, 900.0, 8
     cell_arrivals = workload.arrivals(
         cell_requests, PoissonProcess(cell_rps), np.random.default_rng(7)
     )
 
-    def run_cell(engine_cls, key):
-        engine = engine_cls(
+    def run_cell():
+        engine = Engine(
             cores=cell_cores,
             scheduler=FixedScheduler(4),
             quantum_ms=bing_mod.QUANTUM_MS,
             spin_fraction=bing_mod.SPIN_FRACTION,
         )
-        state[key] = engine.run(cell_arrivals)
-        state[key + "_events"] = engine.events_processed
+        engine.run(cell_arrivals)
+        state["cell_events"] = engine.events_processed
 
-    cell_scalar_s = best_of(lambda: run_cell(Engine, "cell_scalar"), repeats=2)
-    cell_vector_s = best_of(lambda: run_cell(VectorEngine, "cell_vector"), repeats=2)
-    cell_diff = max(
-        abs(a.latency_ms - b.latency_ms)
-        for a, b in zip(state["cell_scalar"].records, state["cell_vector"].records)
-    )
-    if cell_diff > 1e-9:
-        raise AssertionError(
-            f"vectorized engine diverged from scalar by {cell_diff} ms "
-            "(> 1e-9) — speedups are meaningless until results match"
-        )
+    cell_scalar_s = best_of(run_cell, repeats=2)
 
     # (b) Streamed mega-run memory: arrivals generated lazily and
     # completions folded into a StreamSummary, so traced peak memory
@@ -680,16 +669,7 @@ def bench_engine(scale: Scale) -> dict:
                 "cores": cell_cores,
                 "scheduler": "FIX-4",
                 "scalar_wall_s": round(cell_scalar_s, 6),
-                "scalar_events_per_s": round(
-                    state["cell_scalar_events"] / cell_scalar_s, 1
-                ),
-                "vector_wall_s": round(cell_vector_s, 6),
-                "vector_events_per_s": round(
-                    state["cell_vector_events"] / cell_vector_s, 1
-                ),
-                "vector_speedup": round(cell_scalar_s / cell_vector_s, 3),
-                "max_abs_latency_diff_ms": cell_diff,
-                "vector_identical": cell_diff == 0.0,
+                "scalar_events_per_s": round(state["cell_events"] / cell_scalar_s, 1),
             },
             "stream": {
                 "num_requests": stream_requests,
@@ -731,10 +711,9 @@ def build_engine_report(scale: Scale) -> dict:
             "any speedup is reported. sweep compares run_sweep vs "
             "run_sweep_parallel on the same grid; achievable "
             "parallel_speedup is capped by cpu_count. mega is the "
-            "DESIGN.md §14 machinery: mega.cell A/Bs the "
-            "vectorized engine against the scalar one on an "
-            "overloaded FIX-4 cell (gated >= 3x, <= 1e-9 ms "
-            "divergence), mega.stream traces peak memory of "
+            "DESIGN.md §14 machinery: mega.cell times the engine "
+            "on an overloaded FIX-4 cell (hundreds of running "
+            "requests per event), mega.stream traces peak memory of "
             "streamed runs at two sizes (a flat peak across the 5x "
             "jump attests O(running set) memory), and mega.sharded "
             "attests the sharded sweep is bit-identical for any "

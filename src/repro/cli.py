@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
             "split each sharded-sweep cell (e.g. mega-sweep) into K "
             "arrival shards (0 = one per worker). Unlike --workers "
             "this is a results knob: the shard decomposition defines "
-            "which traces are simulated. See repro.parallel.shards."
+            "which traces are simulated. See repro.parallel.run_sharded_sweep."
         ),
     )
     return parser

@@ -8,7 +8,7 @@ experiment scales one Lucene FM-vs-FIX comparison to mega-cells —
 ``full`` — using the DESIGN.md §14 machinery end to end: lazily
 generated arrival streams (O(running set) memory),
 :class:`~repro.sim.stream.StreamSummary` histograms instead of
-per-request records, and :func:`~repro.parallel.shards.run_sharded_sweep`
+per-request records, and :func:`~repro.parallel.run_sharded_sweep`
 splitting each cell into arrival shards across the ambient worker pool
 (``repro-fm mega-sweep --shards 0 --workers 0`` saturates the machine).
 
@@ -22,8 +22,12 @@ from __future__ import annotations
 from repro.experiments.config import Scale, default_scale
 from repro.experiments.report import FigureResult
 from repro.experiments.tables import lucene_table
-from repro.parallel import get_default_shards, get_default_workers, run_sharded_sweep
-from repro.parallel.shards import ShardedSweepResult
+from repro.parallel import (
+    ShardedSweepResult,
+    get_default_shards,
+    get_default_workers,
+    run_sharded_sweep,
+)
 from repro.schedulers import FixedScheduler, FMScheduler
 from repro.workloads import lucene as lucene_mod
 
@@ -43,7 +47,6 @@ def run_mega_sweep(
     scale: Scale | None = None,
     shards: int | None = None,
     workers: int | None = None,
-    vectorized: bool = False,
 ) -> ShardedSweepResult:
     """The sharded sweep itself (also the CI smoke entry point)."""
     scale = scale or default_scale()
@@ -60,7 +63,6 @@ def run_mega_sweep(
         quantum_ms=lucene_mod.QUANTUM_MS,
         seed=SEED,
         spin_fraction=lucene_mod.SPIN_FRACTION,
-        vectorized=vectorized,
     )
 
 

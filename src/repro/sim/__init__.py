@@ -13,7 +13,6 @@ from repro.sim.processor import BoostController, compute_shares
 from repro.sim.request import RequestState, SimRequest
 from repro.sim.stream import StreamingCollector, StreamSummary, simulate_stream
 from repro.sim.trace import TraceEvent, TraceEventKind, TraceRecorder
-from repro.sim.vector import VectorEngine
 
 __all__ = [
     "Admission",
@@ -37,7 +36,6 @@ __all__ = [
     "TraceEvent",
     "TraceEventKind",
     "TraceRecorder",
-    "VectorEngine",
     "compute_shares",
     "simulate",
     "simulate_stream",

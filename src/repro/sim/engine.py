@@ -4,9 +4,10 @@ A fluid discrete-event simulation: between state-change events every
 request's work-depletion rate is constant, so the engine only touches
 state when something happens — an arrival, an admission-delay expiry, a
 self-scheduling quantum, or a completion.  Completions are *tentative*
-events computed from current rates and carry a generation number; any
-rate change (degree raise, boost, arrival, exit) bumps the generation,
-invalidating stale completions still in the heap.
+events computed from current rates; each names the request whose ETA
+set its time and carries a generation number, and any rate change
+(degree raise, boost, arrival, exit) bumps the generation, invalidating
+stale completions still in the heap.
 
 Determinism: given identical arrival specs and scheduler state the run
 is bit-for-bit reproducible — the event queue breaks time ties by
@@ -30,6 +31,7 @@ incrementally-maintained sums would drift from the reference.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from heapq import heappop
@@ -61,6 +63,9 @@ _STALL = "stall"
 _STALL_END = "stall_end"
 
 _FINISH_EPS = 1e-6  # ms — one nanosecond of slack for float residue
+#: Clock ulps of work a completion may leave to rounding (see
+#: :meth:`Engine._rounded_completion`).
+_ROUNDING_ULPS = 4.0
 _INF = float("inf")
 
 
@@ -352,7 +357,7 @@ class Engine:
                     continue  # finished + discarded (streaming mode)
                 self._handle_quantum(request, event)
             elif kind is completion_kind:
-                self._handle_completion()
+                self._handle_completion(event)
             elif kind is arrival_kind:
                 if streaming:
                     # Keep exactly one future arrival in the heap: pull
@@ -461,10 +466,10 @@ class Engine:
         # object just popped is simply re-armed — no allocation per tick.
         self._queue.push(self.now_ms + self.quantum_ms, event)
 
-    def _handle_completion(self) -> None:
+    def _handle_completion(self, event: Event) -> None:
         finished = [r for r in self._running.values() if r.is_finished]
         if not finished:
-            raise SimulationError("completion event with no finished request")
+            finished = [self._rounded_completion(event.request_id)]
         for request in finished:
             request.finish(self.now_ms)
             del self._running[request.rid]
@@ -486,6 +491,32 @@ class Engine:
                 del requests[request.rid]
         self._rates_dirty = True
         self._wake_waiters(exits=len(finished))
+
+    def _rounded_completion(self, rid: int) -> SimRequest:
+        """The request whose ETA fired the completion event, when clock
+        rounding left it a sliver of work.
+
+        The event time ``now + remaining / rate`` is rounded to the
+        clock's resolution, so committing up to it can leave up to about
+        ``ulp(now) * rate`` of work unretired — more than the absolute
+        finish tolerance (1e-9 ms) once the clock passes ~1e7 ms.  A residue within a few
+        such ulps is rounding and the request finishes; anything larger
+        is an engine fault and raises.
+        """
+        now = self.now_ms
+        # Any exit bumps the rate generation, so a live completion
+        # event's request is still running.
+        request = self._running[rid]
+        remaining, rate = request.remaining_work, request.rate
+        slack = _ROUNDING_ULPS * math.ulp(now) * rate
+        if remaining > slack:
+            raise SimulationError(
+                f"completion event for request {rid} at now_ms={now!r} "
+                f"with remaining work {remaining!r} ms at rate {rate!r} "
+                f"(rounding slack {slack!r} ms)"
+            )
+        request.remaining_work = 0.0
+        return request
 
     def _feed_live(self) -> None:
         """Feed the just-recorded completion into the live plane's
@@ -897,6 +928,7 @@ class Engine:
         now = self.now_ms
         have_faults = self.fault_plan is not None
         earliest = _INF
+        earliest_rid = -1
         for request in running.values():
             factor = boosted_factor if request.boosted else unboosted_factor
             request.share_factor = factor
@@ -912,10 +944,11 @@ class Engine:
                 eta = now + request.remaining_work / rate
                 if eta < earliest:
                     earliest = eta
+                    earliest_rid = request.rid
         if earliest < _INF:
             self._queue.push(
                 max(earliest, now),
-                Event(EventKind.COMPLETION, generation=self._generation),
+                Event(EventKind.COMPLETION, earliest_rid, self._generation),
             )
 
     # ------------------------------------------------------------------
@@ -1106,6 +1139,7 @@ class Engine:
         have_faults = self.fault_plan is not None
         speeds = self._pool_speeds
         earliest = _INF
+        earliest_rid = -1
         for request in running.values():
             pool = request.pool
             factor = (
@@ -1121,10 +1155,11 @@ class Engine:
                 eta = now + request.remaining_work / rate
                 if eta < earliest:
                     earliest = eta
+                    earliest_rid = request.rid
         if earliest < _INF:
             self._queue.push(
                 max(earliest, now),
-                Event(EventKind.COMPLETION, generation=self._generation),
+                Event(EventKind.COMPLETION, earliest_rid, self._generation),
             )
 
     def _build_energy_report(self) -> EnergyReport:
@@ -1164,23 +1199,9 @@ def simulate(
     attribution: bool = True,
     topology: Topology | None = None,
     live: "LivePlane | None" = None,
-    vectorized: bool = False,
 ) -> SimulationResult:
-    """Convenience wrapper: build an :class:`Engine` and run it.
-
-    ``vectorized=True`` selects the numpy batch engine
-    (:class:`repro.sim.vector.VectorEngine`, DESIGN.md §14): same
-    simulation, with the per-event commit/rate-recompute loops executed
-    as array operations over the running set — the fast path when
-    hundreds of requests run concurrently.
-    """
-    if vectorized:
-        from repro.sim.vector import VectorEngine
-
-        engine_cls: type[Engine] = VectorEngine
-    else:
-        engine_cls = Engine
-    engine = engine_cls(
+    """Convenience wrapper: build an :class:`Engine` and run it."""
+    engine = Engine(
         cores=cores,
         scheduler=scheduler,
         quantum_ms=quantum_ms,

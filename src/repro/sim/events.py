@@ -38,10 +38,11 @@ class EventKind(enum.Enum):
 class Event:
     """One scheduled occurrence.
 
-    ``request_id`` identifies the subject for all kinds but COMPLETION,
-    which instead carries the rate ``generation`` it was computed under:
-    any later rate change invalidates it.  FAULT events carry their
-    fault description in ``payload``.
+    ``request_id`` identifies the subject of the event; for COMPLETION
+    it is the request whose ETA set the event time, and the event also
+    carries the rate ``generation`` it was computed under: any later
+    rate change invalidates it.  FAULT events carry their fault
+    description in ``payload``.
     """
 
     __slots__ = ("kind", "request_id", "generation", "payload")

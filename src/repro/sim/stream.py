@@ -13,7 +13,7 @@ O(running set) memory regardless of request count.
 The resulting :class:`StreamSummary` is *mergeable*: summaries of
 disjoint arrival shards combine exactly (histogram bucket counts and
 scalar sums are order-insensitive integers/floats-of-sums), which is
-what lets :mod:`repro.parallel.shards` split one huge sweep cell across
+what lets :func:`repro.parallel.run_sharded_sweep` split one huge sweep cell across
 worker processes and reduce the pieces bit-identically regardless of
 worker count.
 """
@@ -198,7 +198,6 @@ def simulate_stream(
     spin_fraction: float = 0.25,
     fault_plan: FaultPlan | None = None,
     attribution: bool = False,
-    vectorized: bool = False,
 ) -> StreamSummary:
     """Run one streamed simulation end to end in O(running set) memory.
 
@@ -214,15 +213,8 @@ def simulate_stream(
     ``attribution`` defaults off here (unlike :func:`simulate`): the
     flight recorder's per-request components are never read back in
     streamed runs, and skipping them trims the hot loop.
-    ``vectorized=True`` swaps in :class:`repro.sim.vector.VectorEngine`.
     """
-    if vectorized:
-        from repro.sim.vector import VectorEngine
-
-        engine_cls: type[Engine] = VectorEngine
-    else:
-        engine_cls = Engine
-    engine = engine_cls(
+    engine = Engine(
         cores=cores,
         scheduler=scheduler,
         quantum_ms=quantum_ms,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.parallel.shards as shards_mod
+import repro.parallel as parallel_mod
 from repro.errors import ConfigurationError
 from repro.experiments.runner import cell_seed, stream_policy
 from repro.parallel import (
@@ -30,7 +30,7 @@ def _schedulers():
     return {"SEQ": SequentialScheduler(), "FIX-2": FixedScheduler(2)}
 
 
-def _sweep(workers, shards=3, vectorized=False):
+def _sweep(workers, shards=3):
     return run_sharded_sweep(
         _schedulers(),
         _workload(),
@@ -40,7 +40,6 @@ def _sweep(workers, shards=3, vectorized=False):
         shards=shards,
         workers=workers,
         seed=7,
-        vectorized=vectorized,
     )
 
 
@@ -62,11 +61,6 @@ class TestWorkerCountInvariance:
         serial = _sweep(workers=1)
         _assert_sweeps_identical(serial, _sweep(workers=2))
         _assert_sweeps_identical(serial, _sweep(workers=4))
-
-    def test_vectorized_shards_match_scalar_shards(self):
-        _assert_sweeps_identical(
-            _sweep(workers=1, vectorized=False), _sweep(workers=2, vectorized=True)
-        )
 
     def test_all_requests_accounted(self):
         sweep = _sweep(workers=2)
@@ -121,9 +115,9 @@ class TestShardSemantics:
         from unittest import mock
 
         sentinel = object()
-        with mock.patch.object(shards_mod, "_SPEC", sentinel):
+        with mock.patch.object(parallel_mod, "_SPEC", sentinel):
             _sweep(workers=1)
-            assert shards_mod._SPEC is sentinel
+            assert parallel_mod._SPEC is sentinel
 
 
 class TestShardSizes:

@@ -142,6 +142,36 @@ class TestBitIdentityWithBaseline:
         )
         _assert_identical(result, reference)
 
+    def test_matches_reference_through_overload_burst(self):
+        """A burst far beyond capacity grows the running set to hundreds
+        of requests, then drains it — results must stay exact."""
+        arrivals = _sweep_arrivals(400.0, 500, seed=77)
+        result = simulate(arrivals, FixedScheduler(4), cores=4)
+        reference = simulate_baseline(arrivals, FixedScheduler(4), cores=4)
+        _assert_identical(result, reference)
+
+    def test_degree_residency_matches_reference(self):
+        """Per-degree residency feeds ``average_parallelism``; the raw
+        per-request totals must match too.  Captured via an ``on_exit``
+        wrapper since records keep only the derived average."""
+
+        class Capturing(AdaptiveScheduler):
+            def __init__(self):
+                super().__init__(max_degree=4, target_parallelism=6.0)
+                self.residency = {}
+
+            def on_exit(self, ctx, request):
+                self.residency[request.rid] = dict(request.degree_residency)
+                return super().on_exit(ctx, request)
+
+        arrivals = _sweep_arrivals(60.0, 300, seed=9)
+        ours, theirs = Capturing(), Capturing()
+        result = simulate(arrivals, ours, cores=6)
+        reference = simulate_baseline(arrivals, theirs, cores=6)
+        _assert_identical(result, reference)
+        assert len(ours.residency) == 300
+        assert ours.residency == theirs.residency
+
 
 class TestEngineReentrancy:
     def test_second_run_raises(self):

@@ -39,17 +39,6 @@ class TestStreamEqualsBatch:
         assert summary.shed_count == len(batch.shed_records)
         assert summary.cpu_utilization() == batch.cpu_utilization()
 
-    def test_vectorized_stream_equals_scalar_stream(self):
-        arrivals = _sweep_arrivals(70.0, 400, seed=8)
-        scalar = simulate_stream(
-            iter(arrivals), _SCHEDULER_FACTORIES["fm"](), cores=6
-        )
-        vector = simulate_stream(
-            iter(arrivals), _SCHEDULER_FACTORIES["fm"](), cores=6, vectorized=True
-        )
-        assert vector.histogram.state() == scalar.histogram.state()
-        assert vector.as_dict() == scalar.as_dict()
-
     def test_generator_input_consumed_lazily(self):
         """The engine keeps O(running set) request objects when fed a
         generator — completed requests are discarded as they finish."""
