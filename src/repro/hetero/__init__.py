@@ -2,7 +2,7 @@
 
 Generalizes the engine from ``N`` identical cores to typed pools
 (big/little, optional DVFS states) with a deterministic per-pool
-energy accumulator.  See DESIGN.md §12.
+energy accounting.  See DESIGN.md §12.
 """
 
 from repro.hetero.energy import EnergyReport, PoolEnergy

@@ -1,27 +1,27 @@
 """Deterministic per-pool energy accounting.
 
-Energy is integrated alongside the fluid work model: between any two
-engine events every request's core share is constant, so power is
-piecewise-constant and the integral is exact — no sampling, no clock
-reads, bit-reproducible under a fixed seed.  Within each interval of
-length ``dt`` ms, a pool's cores split three ways:
+Power is piecewise-constant between engine events, so energy follows
+exactly from integrals the engine keeps anyway — no sampling, no clock
+reads, bit-reproducible under a fixed seed.  The engine settles each
+request at its finish and at each migration; a pool's core time splits
+three ways:
 
-* **active** — cores doing useful work: each request contributes
-  ``degree_speedup * factor`` core-equivalents (its progress rate
-  before the pool speed multiplier is applied).
-* **spin** — occupied-but-wasted share: ``share_cores - active``,
-  i.e. the spin-fraction overhead of partially-parallel execution plus
-  contention losses.  Spin burns active power (the core is busy) but
-  retires no work, which is exactly why it matters on an energy axis.
-* **idle** — online cores with no thread on them, at idle power.
+* **active** — useful core time: the work the request retired on the
+  pool divided by the pool speed.
+* **spin** — occupied-but-wasted core time: the request's core time
+  on the pool minus its active part, i.e. the spin-fraction overhead
+  of partially-parallel execution plus contention losses.  Spin burns
+  active power (the core is busy) but retires no work, which is
+  exactly why it matters on an energy axis.  Stalled requests (fault
+  injection) retire nothing, so their whole occupancy is spin.
+* **idle** — the pool's online core time no request occupied, at idle
+  power.
 
-Accumulation is in watt-milliseconds (numerically = millijoules);
-:class:`PoolEnergy` converts to joules at report time.  Stalled
-requests (fault injection) hold their cores in spin — the thread is
-occupied but making no progress.
+Settlement is in watt-milliseconds (numerically = millijoules);
+:class:`PoolEnergy` converts to joules at report time.
 
 The report is attached to :class:`repro.sim.metrics.SimulationResult`
-as ``result.energy`` (``None`` for legacy homogeneous runs, keeping
+as ``result.energy`` (``None`` for runs without a topology, keeping
 every existing experiment byte-identical).
 """
 

@@ -15,7 +15,7 @@ pool independently.
 Optional :class:`DVFSState`\\ s model frequency scaling: a pool built
 with ``dvfs_states`` and a selected ``dvfs`` name takes that state's
 speed and power in place of its nominal values.  States are fixed for a
-run (the energy accumulator integrates a piecewise-constant power
+run (the engine's energy settlement assumes a piecewise-constant power
 model; per-run DVFS selection is the granularity the ``hetero-energy``
 experiment sweeps).
 

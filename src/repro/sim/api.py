@@ -157,8 +157,8 @@ class SchedulerContext:
     # -- heterogeneous-topology surface (repro.hetero) -----------------
     @property
     def topology(self):
-        """The :class:`~repro.hetero.pools.Topology`, or ``None`` on
-        the legacy homogeneous path."""
+        """The :class:`~repro.hetero.pools.Topology`, or ``None`` for
+        a machine of identical cores."""
         return self._engine.topology
 
     @property

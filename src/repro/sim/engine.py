@@ -16,17 +16,19 @@ insertion order and no wall-clock or randomness enters the engine.
 Hot-path structure (DESIGN.md §10): the engine is the inner loop of
 every load sweep, so the per-event work is kept incremental.  Per-degree
 speedup and occupancy are cached on the request and refreshed only when
-the degree changes; each rate refresh is two tight passes over the
-running set (re-accumulate the two demand sums, then rescale factors,
-rates, and the earliest tentative completion in one sweep) with no dict
-or allocation churn; the commit loop inlines
-:meth:`~repro.sim.request.SimRequest.advance`; the backlog is a
-``deque`` and delayed ids a sorted list.  Every optimization preserves
-bit-for-bit identity with the frozen reference implementation in
-:mod:`repro.sim._baseline` — in particular the demand sums are
-re-accumulated in running-set order rather than maintained by
-add/subtract, because float addition is non-associative and
-incrementally-maintained sums would drift from the reference.
+the degree changes; each rate refresh is two tight passes over each
+core pool's running members (re-accumulate the two demand sums, then
+rescale factors, rates, and the earliest tentative completion in one
+sweep) with no dict or allocation churn; the commit loop inlines
+:meth:`~repro.sim.request.SimRequest.advance` and does no energy
+arithmetic (energy is settled at finish and migration); the backlog is
+a ``deque`` and delayed ids a sorted list.  A machine without a
+topology is one pool at speed 1.0, so every run takes the same loops.
+Every optimization preserves bit-for-bit identity with the frozen
+reference implementation in :mod:`repro.sim._baseline` — in particular
+the demand sums are re-accumulated in running-set order rather than
+maintained by add/subtract, because float addition is non-associative
+and incrementally-maintained sums would drift from the reference.
 """
 
 from __future__ import annotations
@@ -124,17 +126,14 @@ class Engine:
         quantifies the cost).
     topology:
         Optional :class:`~repro.hetero.pools.Topology` of typed core
-        pools (big/little, DVFS-resolved speeds and powers).  When set,
-        processor sharing runs *per pool* (a request's threads occupy
-        exactly one pool), rates scale by the pool speed, and a
-        deterministic energy accumulator tracks active/spin/idle joules
-        per pool (DESIGN.md §12).  ``topology.total_cores`` must equal
-        ``cores``.  When ``None`` (the default) the legacy homogeneous
-        path runs untouched — and a single-pool topology at speed 1.0
-        is attested bit-identical to it, because every hetero-path
-        float operation reduces to the legacy one (``x * 1.0`` is exact
-        in IEEE 754 and the per-pool demand sums accumulate in the same
-        running-set order).
+        pools (big/little, DVFS-resolved speeds and powers).  Processor
+        sharing runs *per pool* (a request's threads occupy exactly one
+        pool) and rates scale by the pool speed; ``topology.total_cores``
+        must equal ``cores``.  When set, energy is settled per pool into
+        active/spin/idle joules (DESIGN.md §12).  When ``None`` (the
+        default) the machine is one unnamed pool of ``cores`` cores at
+        speed 1.0 running the same loops, and ``result.energy`` is
+        ``None`` (no power model is defined).
     """
 
     def __init__(
@@ -207,32 +206,30 @@ class Engine:
         self._live = live
         self._run_spans: dict[int, Span] = {}
 
-        #: Heterogeneous-topology state (repro.hetero).  The per-pool
-        #: arrays are indexed by pool position; energy accumulates in
-        #: watt-milliseconds (= millijoules) and converts to joules in
-        #: the final :class:`~repro.hetero.energy.EnergyReport`.  The
-        #: hot-path entry points are rebound per instance so the legacy
-        #: run loop never pays a single ``if`` for the hetero feature.
+        #: Core pools (repro.hetero), indexed by pool position.  No
+        #: topology is one pool named ``""`` at speed 1.0.  Each pool
+        #: keeps its running members in running-set order, so per-pool
+        #: demand sums accumulate exactly as a single machine-wide pass
+        #: would (float addition is order-sensitive).
         self.topology = topology
-        self._hetero = topology is not None
-        if topology is not None:
-            npools = len(topology)
-            self._npools = npools
-            self._pool_names = [pool.name for pool in topology]
-            self._pool_speeds = [pool.effective_speed for pool in topology]
-            self._pool_active_w = [pool.effective_active_power_w for pool in topology]
-            self._pool_idle_w = [pool.effective_idle_power_w for pool in topology]
-            self._pool_online = [pool.count for pool in topology]
-            self._pools_by_speed = sorted(
-                range(npools), key=lambda i: (-self._pool_speeds[i], i)
-            )
-            self._e_active = [0.0] * npools
-            self._e_spin = [0.0] * npools
-            self._e_idle = [0.0] * npools
-            self._commit = self._commit_hetero  # type: ignore[method-assign]
-            self._recompute_rates = (  # type: ignore[method-assign]
-                self._recompute_rates_hetero
-            )
+        pools = topology.pools if topology is not None else ()
+        self._pool_names = [pool.name for pool in pools] or [""]
+        self._pool_speeds = [pool.effective_speed for pool in pools] or [1.0]
+        self._pool_active_w = [pool.effective_active_power_w for pool in pools] or [0.0]
+        self._pool_idle_w = [pool.effective_idle_power_w for pool in pools] or [0.0]
+        self._pool_online = [pool.count for pool in pools] or [cores]
+        npools = len(self._pool_online)
+        self._pool_members: list[dict[int, SimRequest]] = [{} for _ in range(npools)]
+        self._pools_by_speed = sorted(range(npools), key=lambda i: (-self._pool_speeds[i], i))
+        #: Energy settlement state, in watt-milliseconds (= millijoules)
+        #: and core-milliseconds: per-pool active/spin energy and
+        #: occupied core time settled at each finish and migration, and
+        #: the integral of online cores up to ``_online_since_ms``.
+        self._e_active = [0.0] * npools
+        self._e_spin = [0.0] * npools
+        self._occupied_ms = [0.0] * npools
+        self._online_ms = [0.0] * npools
+        self._online_since_ms = 0.0
 
     # ------------------------------------------------------------------
     # Observable state (SchedulerContext reads these)
@@ -383,7 +380,7 @@ class Engine:
             raise SimulationError(
                 f"{stuck} requests never completed (scheduler deadlock?)"
             )
-        if self._hetero:
+        if self.topology is not None:
             self._metrics.energy_report = self._build_energy_report()
         return self._metrics.finalize()
 
@@ -470,9 +467,13 @@ class Engine:
         finished = [r for r in self._running.values() if r.is_finished]
         if not finished:
             finished = [self._rounded_completion(event.request_id)]
+        members = self._pool_members
         for request in finished:
+            if self.topology is not None:
+                self._settle_energy(request)
             request.finish(self.now_ms)
             del self._running[request.rid]
+            del members[request.pool][request.rid]
             self._metrics.record(request)  # snapshot before boost release
             if self.telemetry is not None:
                 self._finish_telemetry(request)  # span needs boosted flag too
@@ -528,7 +529,7 @@ class Engine:
             latency_ms=record.latency_ms,
             components=record.attribution() if self.attribution else None,
             energy_j=record.energy_j,
-            pool=self._pool_names[record.pool] if self._hetero else "",
+            pool=self._pool_names[record.pool],
             rid=record.rid,
         )
 
@@ -542,39 +543,34 @@ class Engine:
             fault: CoreFault = detail
             removed = self._cores_online - max(1, self._cores_online - fault.cores)
             self._cores_online -= removed
-            if self._hetero:
-                # Take cores from the highest-index pools first (the
-                # little cluster in the canonical big/little ordering),
-                # deterministically; individual pools may go to zero as
-                # long as the machine keeps one core somewhere.
-                remaining = removed
-                taken = [0] * self._npools
-                for pool in range(self._npools - 1, -1, -1):
-                    take = min(remaining, self._pool_online[pool])
-                    self._pool_online[pool] -= take
-                    taken[pool] = take
-                    remaining -= take
-                    if remaining == 0:
-                        break
-                restore_detail: object = tuple(taken)
-            else:
-                restore_detail = removed
+            # Take cores from the highest-index pools first (the little
+            # cluster in the canonical big/little ordering),
+            # deterministically; individual pools may go to zero as long
+            # as the machine keeps one core somewhere.
+            self._integrate_online()
+            online = self._pool_online
+            taken = [0] * len(online)
+            remaining = removed
+            for pool in range(len(online) - 1, -1, -1):
+                take = min(remaining, online[pool])
+                online[pool] -= take
+                taken[pool] = take
+                remaining -= take
             stats.core_faults_applied += 1
             stats.faults_fired += 1
             self._observe_fault("core_loss", cores=removed)
             self._queue.push(
                 self.now_ms + fault.duration_ms,
-                Event(EventKind.FAULT, payload=(_CORE_RESTORE, restore_detail)),
+                Event(EventKind.FAULT, payload=(_CORE_RESTORE, tuple(taken))),
             )
             self._rates_dirty = True
         elif kind == _CORE_RESTORE:
-            if self._hetero:
-                taken = detail  # per-pool removal counts from the loss
-                for pool, count in enumerate(taken):
-                    self._pool_online[pool] += count
-                self._cores_online = min(self.cores, sum(self._pool_online))
-            else:
-                self._cores_online = min(self.cores, self._cores_online + int(detail))
+            # detail: the per-pool removal counts from the loss.
+            self._integrate_online()
+            online = self._pool_online
+            for pool, count in enumerate(detail):
+                online[pool] += count
+            self._cores_online = min(self.cores, sum(online))
             self._observe_fault("core_restore", cores_online=self._cores_online)
             self._rates_dirty = True
         elif kind == _STALL:
@@ -684,21 +680,19 @@ class Engine:
         """Begin executing an admitted request (the one place requests
         transition into the running set).
 
-        On a heterogeneous topology the request is placed on ``pool``
-        when the policy pinned one, else on the engine default: the
-        fastest pool with occupancy headroom for it (falling back to
-        the freest pool) — so policies that never mention pools still
-        get sensible big-first placement.
+        The request is placed on ``pool`` when the policy pinned one,
+        else on the engine default: the fastest pool with occupancy
+        headroom for it (falling back to the freest pool) — so policies
+        that never mention pools still get sensible big-first placement.
         """
         waited_as = request.state  # pre-start state names the wait kind
         request.start(self.now_ms, max(1, degree))
         self._refresh_degree_cache(request)
-        if self._hetero:
-            if pool is not None and 0 <= pool < self._npools:
-                request.pool = pool
-            else:
-                request.pool = self._default_pool(request)
+        if pool is None or not 0 <= pool < len(self._pool_members):
+            pool = self._default_pool(request)
+        request.pool = pool
         self._running[request.rid] = request
+        self._pool_members[pool][request.rid] = request
         self._rates_dirty = True
         if self.scheduler.uses_quantum:
             self._queue.push(
@@ -746,7 +740,7 @@ class Engine:
                 "boost_wait_ms": request.attr_boost_wait_ms,
                 "stall_ms": request.attr_stall_ms,
             }
-        if self._hetero:
+        if self.topology is not None:
             energy_j = request.energy_mj / 1000.0
             telemetry.metrics.histogram("sim.energy.request_j").record(energy_j)
             attrs["energy_j"] = energy_j
@@ -896,55 +890,60 @@ class Engine:
         """Refresh per-request rates and schedule the next tentative
         completion; called after any state change.
 
-        Two tight passes over the running set, no allocations:
+        Processor sharing runs pool by pool (a machine without a
+        topology is one pool): two tight passes over each pool's
+        members, no allocations:
 
         1. re-accumulate the boosted / unboosted occupancy sums from the
            cached per-degree demands (re-accumulated, not incrementally
            adjusted: float addition is non-associative, and the sums
            must stay bit-identical to the reference engine's);
         2. derive the two contention factors, then store each request's
-           factor, core share, and rate inline and track the earliest
-           tentative completion in the same sweep.
+           factor, core share, and rate (scaled by the pool speed; ``x *
+           1.0`` is exact, so a speed-1.0 pool reproduces the reference)
+           inline and track the earliest tentative completion in the
+           same sweep.
         """
         self._rates_dirty = False
         self._generation += 1
-        running = self._running
-        boosted_demand = 0.0
-        unboosted_demand = 0.0
-        for request in running.values():
-            if request.boosted:
-                boosted_demand += request.degree_demand
-            else:
-                unboosted_demand += request.degree_demand
-
-        cores = self._cores_online
-        boosted_factor = min(1.0, cores / boosted_demand) if boosted_demand > 0 else 1.0
-        remaining_cores = cores - boosted_demand * boosted_factor
-        if unboosted_demand > 0:
-            unboosted_factor = min(1.0, max(0.0, remaining_cores) / unboosted_demand)
-        else:
-            unboosted_factor = 1.0
-
         now = self.now_ms
         have_faults = self.fault_plan is not None
         earliest = _INF
         earliest_rid = -1
-        for request in running.values():
-            factor = boosted_factor if request.boosted else unboosted_factor
-            request.share_factor = factor
-            request.share_cores = request.degree_demand * factor
-            rate = request.degree_speedup * factor
-            if have_faults and request.is_stalled(now):
-                # An injected worker stall: the request's threads keep
-                # their cores (hung workers occupy, not yield) but
-                # retire no work until the stall expires.
-                rate = 0.0
-            request.rate = rate
-            if rate > 0.0:
-                eta = now + request.remaining_work / rate
-                if eta < earliest:
-                    earliest = eta
-                    earliest_rid = request.rid
+        for members, cores, speed in zip(
+            self._pool_members, self._pool_online, self._pool_speeds
+        ):
+            boosted_demand = 0.0
+            unboosted_demand = 0.0
+            for request in members.values():
+                if request.boosted:
+                    boosted_demand += request.degree_demand
+                else:
+                    unboosted_demand += request.degree_demand
+
+            boosted_factor = min(1.0, cores / boosted_demand) if boosted_demand > 0 else 1.0
+            remaining_cores = cores - boosted_demand * boosted_factor
+            if unboosted_demand > 0:
+                unboosted_factor = min(1.0, max(0.0, remaining_cores) / unboosted_demand)
+            else:
+                unboosted_factor = 1.0
+
+            for request in members.values():
+                factor = boosted_factor if request.boosted else unboosted_factor
+                request.share_factor = factor
+                request.share_cores = request.degree_demand * factor
+                rate = request.degree_speedup * factor * speed
+                if have_faults and request.is_stalled(now):
+                    # An injected worker stall: the request's threads keep
+                    # their cores (hung workers occupy, not yield) but
+                    # retire no work until the stall expires.
+                    rate = 0.0
+                request.rate = rate
+                if rate > 0.0:
+                    eta = now + request.remaining_work / rate
+                    if eta < earliest:
+                        earliest = eta
+                        earliest_rid = request.rid
         if earliest < _INF:
             self._queue.push(
                 max(earliest, now),
@@ -952,28 +951,19 @@ class Engine:
             )
 
     # ------------------------------------------------------------------
-    # Heterogeneous-topology machinery (repro.hetero, DESIGN.md §12).
-    # These entry points replace _commit/_recompute_rates via instance
-    # rebinding in __init__ when a topology is supplied; the legacy
-    # homogeneous path never reaches any of this code.
+    # Core pools and energy (repro.hetero, DESIGN.md §12)
     # ------------------------------------------------------------------
     def pool_free_cores(self, pool: int) -> float:
         """Occupancy headroom of ``pool``: online cores minus the summed
         occupancy demand of the requests currently placed there (the
-        whole machine on the homogeneous path)."""
-        if not self._hetero:
-            if pool != 0:
-                raise SimulationError(f"homogeneous engine has no pool {pool}")
-            demand = 0.0
-            for request in self._running.values():
-                demand += request.degree_demand
-            return self._cores_online - demand
-        if not 0 <= pool < self._npools:
-            raise SimulationError(f"no pool {pool} in {self.topology!r}")
+        whole machine when there is no topology)."""
+        if not 0 <= pool < len(self._pool_members):
+            raise SimulationError(
+                f"no pool {pool}: the engine has {len(self._pool_members)} pool(s)"
+            )
         free = float(self._pool_online[pool])
-        for request in self._running.values():
-            if request.pool == pool:
-                free -= request.degree_demand
+        for request in self._pool_members[pool].values():
+            free -= request.degree_demand
         return free
 
     def migrate(self, request: SimRequest, pool: int) -> bool:
@@ -981,16 +971,23 @@ class Engine:
         Hurry-up actuator); returns True when the placement changed.
         Migration cost is modeled as zero — rates simply refresh under
         the new placement at the next recomputation."""
+        members = self._pool_members
         if (
-            not self._hetero
-            or not 0 <= pool < self._npools
+            not 0 <= pool < len(members)
             or request.state is not RequestState.RUNNING
             or request.pool == pool
         ):
             return False
         source = request.pool
+        self._settle_energy(request)
+        del members[source][request.rid]
         request.pool = pool
         request.migrations += 1
+        # Rebuild the target's membership in running-set order, so its
+        # demand sums keep accumulating in running-set order.
+        members[pool] = {
+            rid: member for rid, member in self._running.items() if member.pool == pool
+        }
         self._rates_dirty = True
         if self.telemetry is not None:
             self.telemetry.metrics.counter("sim.migrations").inc()
@@ -1005,166 +1002,55 @@ class Engine:
         fits the request's demand, else the freest pool (faster pools
         win headroom ties).  Deterministic — depends only on the
         running set and the fixed speed ordering."""
-        free = [float(count) for count in self._pool_online]
-        for running in self._running.values():
-            free[running.pool] -= running.degree_demand
+        order = self._pools_by_speed
+        if len(order) == 1:
+            return order[0]
         demand = request.degree_demand
-        best = self._pools_by_speed[0]
-        for pool in self._pools_by_speed:
-            if free[pool] >= demand - 1e-9:
+        best, best_free = order[0], -_INF
+        for pool in order:
+            free = self.pool_free_cores(pool)
+            if free >= demand - 1e-9:
                 return pool
-            if free[pool] > free[best] + 1e-12:
-                best = pool
+            if free > best_free + 1e-12:
+                best, best_free = pool, free
         return best
 
-    def _commit_hetero(self, t: float) -> None:
-        """The heterogeneous commit: the legacy :meth:`_commit` loop
-        (same operations in the same order, so the single-pool case
-        stays bit-identical) plus the energy accumulator.
+    def _settle_energy(self, request: SimRequest) -> None:
+        """Charge the energy ``request`` drew on its current pool since
+        its last settlement (its start, or its last migration).
 
-        Within the interval each request's threads occupy
-        ``share_cores`` physical cores on its pool at active power;
-        the useful part is ``degree_speedup * factor`` core-equivalents
-        (zero while stalled) and the rest is spin.  Online cores with
-        no thread accrue idle energy.  Accumulation is in W·ms = mJ.
+        Within that span the request's threads occupied
+        ``Δcore_time_ms`` core-ms at the pool's active power; the useful
+        part is the work retired divided by the pool speed, the rest is
+        spin (a stalled request retires nothing, so it is all spin).
+        Settled at finish and migration only, so the commit loop does no
+        energy arithmetic.
         """
-        dt = t - self.now_ms
-        if dt > 0:
-            now = self.now_ms
-            attribution = self.attribution
-            have_faults = self.fault_plan is not None
-            busy_cores = 0.0
-            total_threads = 0
-            active_w = self._pool_active_w
-            e_active = self._e_active
-            e_spin = self._e_spin
-            pool_busy = [0.0] * self._npools
-            for request in self._running.values():
-                factor = request.share_factor
-                core_alloc = request.share_cores
-                stalled = have_faults and request.is_stalled(now)
-                useful = factor * dt
-                if attribution:
-                    if stalled:
-                        request.attr_stall_ms += dt
-                    else:
-                        request.attr_service_ms += useful
-                        slowdown = dt - useful
-                        if request.boost_pending and not request.boosted:
-                            request.attr_boost_wait_ms += slowdown
-                        else:
-                            request.attr_contention_ms += slowdown
-                request.effective_ms += useful
-                remaining = request.remaining_work - request.rate * dt
-                if remaining <= 0.0:
-                    if remaining < -1e-6:
-                        raise SimulationError(
-                            f"request {request.rid}: overshoot {remaining}"
-                        )
-                    remaining = 0.0
-                request.remaining_work = remaining
-                degree = request.degree
-                request.thread_time_ms += degree * dt
-                request.core_time_ms += core_alloc * dt
-                residency = request.degree_residency
-                try:
-                    residency[degree] += dt
-                except KeyError:
-                    residency[degree] = dt
-                busy_cores += core_alloc
-                total_threads += degree
-                # --- energy: occupied cores burn active power; the
-                # useful share is active, the remainder spin (a stalled
-                # request's threads hold their cores but retire nothing,
-                # so its whole occupancy is spin).
-                pool = request.pool
-                occupied_ms = core_alloc * dt
-                active_ms = 0.0 if stalled else request.degree_speedup * factor * dt
-                power = active_w[pool]
-                e_active[pool] += power * active_ms
-                e_spin[pool] += power * (occupied_ms - active_ms)
-                request.energy_mj += power * occupied_ms
-                pool_busy[pool] += core_alloc
-            idle_w = self._pool_idle_w
-            online = self._pool_online
-            e_idle = self._e_idle
-            for pool in range(self._npools):
-                idle_cores = online[pool] - pool_busy[pool]
-                if idle_cores > 0.0:
-                    e_idle[pool] += idle_w[pool] * idle_cores * dt
-            in_system = (
-                len(self._running) + len(self._delayed) + len(self._waiting_fifo)
-            )
-            self._metrics.observe_interval(dt, total_threads, busy_cores, in_system)
-        self.now_ms = t
+        pool = request.pool
+        occupied = request.core_time_ms - request.settled_core_ms
+        active = (request.settled_work - request.remaining_work) / self._pool_speeds[pool]
+        power = self._pool_active_w[pool]
+        self._e_active[pool] += power * active
+        self._e_spin[pool] += power * (occupied - active)
+        self._occupied_ms[pool] += occupied
+        request.energy_mj += power * occupied
+        request.settled_core_ms = request.core_time_ms
+        request.settled_work = request.remaining_work
 
-    def _recompute_rates_hetero(self) -> None:
-        """Per-pool fluid rates: the legacy two-pass refresh with the
-        demand sums and contention factors computed pool-by-pool, and
-        each rate scaled by its pool's speed multiplier.
-
-        The sums accumulate in running-set order (like the legacy
-        pass), so with one pool at speed 1.0 every operation — the
-        division, the min/max clamps, ``rate = s * factor * 1.0`` —
-        reduces bitwise to the homogeneous engine's.
-        """
-        self._rates_dirty = False
-        self._generation += 1
-        running = self._running
-        npools = self._npools
-        boosted_demand = [0.0] * npools
-        unboosted_demand = [0.0] * npools
-        for request in running.values():
-            if request.boosted:
-                boosted_demand[request.pool] += request.degree_demand
-            else:
-                unboosted_demand[request.pool] += request.degree_demand
-
-        online = self._pool_online
-        boosted_factor = [1.0] * npools
-        unboosted_factor = [1.0] * npools
-        for pool in range(npools):
-            cores = online[pool]
-            demand = boosted_demand[pool]
-            factor = min(1.0, cores / demand) if demand > 0 else 1.0
-            boosted_factor[pool] = factor
-            remaining_cores = cores - demand * factor
-            demand = unboosted_demand[pool]
-            if demand > 0:
-                unboosted_factor[pool] = min(
-                    1.0, max(0.0, remaining_cores) / demand
-                )
-
-        now = self.now_ms
-        have_faults = self.fault_plan is not None
-        speeds = self._pool_speeds
-        earliest = _INF
-        earliest_rid = -1
-        for request in running.values():
-            pool = request.pool
-            factor = (
-                boosted_factor[pool] if request.boosted else unboosted_factor[pool]
-            )
-            request.share_factor = factor
-            request.share_cores = request.degree_demand * factor
-            rate = request.degree_speedup * factor * speeds[pool]
-            if have_faults and request.is_stalled(now):
-                rate = 0.0
-            request.rate = rate
-            if rate > 0.0:
-                eta = now + request.remaining_work / rate
-                if eta < earliest:
-                    earliest = eta
-                    earliest_rid = request.rid
-        if earliest < _INF:
-            self._queue.push(
-                max(earliest, now),
-                Event(EventKind.COMPLETION, earliest_rid, self._generation),
-            )
+    def _integrate_online(self) -> None:
+        """Extend each pool's online-core integral up to ``now``
+        (called before the online counts change, and at the end)."""
+        span = self.now_ms - self._online_since_ms
+        online_ms = self._online_ms
+        for pool, count in enumerate(self._pool_online):
+            online_ms[pool] += count * span
+        self._online_since_ms = self.now_ms
 
     def _build_energy_report(self) -> EnergyReport:
-        """Convert the W·ms accumulators into the per-pool report and
-        export the ``sim.energy.*`` gauges."""
+        """Convert the settled W·ms totals into the per-pool report and
+        export the ``sim.energy.*`` gauges.  Idle energy is the online
+        core-time no request occupied, at idle power."""
+        self._integrate_online()
         pools = [
             PoolEnergy(
                 name=self._pool_names[pool],
@@ -1172,9 +1058,11 @@ class Engine:
                 speed=self._pool_speeds[pool],
                 active_j=self._e_active[pool] / 1000.0,
                 spin_j=self._e_spin[pool] / 1000.0,
-                idle_j=self._e_idle[pool] / 1000.0,
+                idle_j=self._pool_idle_w[pool]
+                * max(0.0, self._online_ms[pool] - self._occupied_ms[pool])
+                / 1000.0,
             )
-            for pool in range(self._npools)
+            for pool in range(len(self._pool_members))
         ]
         report = EnergyReport(pools, duration_ms=self.now_ms)
         if self.telemetry is not None:

@@ -156,8 +156,8 @@ class MetricsCollector:
         self._system_count_integral = 0.0
         self._observed_ms = 0.0
         self._thread_residency: dict[int, float] = {}
-        #: Set by the engine at end of run on a heterogeneous topology;
-        #: stays ``None`` on the legacy homogeneous path.
+        #: Set by the engine at end of run when it has a topology; stays
+        #: ``None`` without one (no power model).
         self.energy_report: EnergyReport | None = None
 
     def observe_interval(

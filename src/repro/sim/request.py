@@ -74,6 +74,8 @@ class SimRequest:
         "pool",
         "energy_mj",
         "migrations",
+        "settled_core_ms",
+        "settled_work",
     )
 
     def __init__(
@@ -141,12 +143,17 @@ class SimRequest:
         self.degree_demand = 0.0
         #: Heterogeneous-topology state (``repro.hetero``): the core
         #: pool this request's threads currently occupy, the energy its
-        #: execution has drawn (accumulated in watt-ms = millijoules),
-        #: and how many times a policy migrated it between pools.  All
-        #: stay at their zeros on the legacy homogeneous path.
+        #: execution has drawn (in watt-ms = millijoules, settled by the
+        #: engine at finish and at each migration), and how many times
+        #: a policy migrated it between pools.  Energy stays zero when
+        #: the engine has no topology.
         self.pool = 0
         self.energy_mj = 0.0
         self.migrations = 0
+        #: The core time and remaining work at the last energy
+        #: settlement (start, or the last migration).
+        self.settled_core_ms = 0.0
+        self.settled_work = seq_ms
 
     # ------------------------------------------------------------------
     def start(self, now_ms: float, degree: int) -> None:
@@ -158,6 +165,7 @@ class SimRequest:
         self.state = RequestState.RUNNING
         self.start_ms = now_ms
         self.degree = degree
+        self.settled_work = self.remaining_work  # after any straggler inflation
 
     def raise_degree(self, degree: int) -> bool:
         """Increase parallelism; returns True when the degree changed.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.queueing import (
 )
 from repro.core.speedup import TabulatedSpeedup
 from repro.errors import ConfigurationError
+from repro.hetero import Topology
 from repro.schedulers import SequentialScheduler
 from repro.sim.engine import ArrivalSpec, simulate
 
@@ -52,7 +55,9 @@ class TestSimulatorAgainstTheory:
     """SEQ on one core with full spin is exactly M/G/1-PS."""
 
     def _run(self, rho: float, mean_service: float, n: int, seed: int,
-             sigma: float = 0.0):
+             sigma: float = 0.0, speed: float | None = None):
+        """SEQ on one core; with ``speed``, one core of that speed on a
+        pool topology and every arrival time divided by it."""
         rng = np.random.default_rng(seed)
         rate = rho / mean_service  # arrivals per ms
         gaps = rng.exponential(1.0 / rate, size=n)
@@ -63,10 +68,13 @@ class TestSimulatorAgainstTheory:
         else:
             services = np.full(n, mean_service)
         specs = [
-            ArrivalSpec(float(t), float(s), _SEQ_CURVE)
+            ArrivalSpec(float(t) / (speed or 1.0), float(s), _SEQ_CURVE)
             for t, s in zip(times, services)
         ]
-        return simulate(specs, SequentialScheduler(), cores=1, spin_fraction=1.0)
+        topology = Topology.homogeneous(1, speed=speed) if speed else None
+        return simulate(
+            specs, SequentialScheduler(), cores=1, spin_fraction=1.0, topology=topology
+        )
 
     @pytest.mark.parametrize("rho", [0.3, 0.6])
     def test_mean_sojourn_deterministic_service(self, rho):
@@ -91,6 +99,24 @@ class TestSimulatorAgainstTheory:
         )
         # Average stretch approaches 1/(1-rho); allow simulation noise.
         assert stretch.mean() == pytest.approx(mg1_ps_slowdown(rho), rel=0.12)
+
+    @pytest.mark.parametrize(
+        "rho, n, seed, sigma, rel",
+        [(0.6, 6000, 1, 0.0, 0.10), (0.5, 8000, 2, 1.0, 0.12)],
+        ids=["deterministic", "lognormal"],
+    )
+    def test_pool_speed_rescales_the_clock(self, rho, n, seed, sigma, rel):
+        """A 2x core fed the same trace at half the arrival times is the
+        same queue on a clock running twice as fast: every latency
+        halves, and the M/G/1-PS mean holds at effective service x/2."""
+        slow = self._run(rho, mean_service=10.0, n=n, seed=seed, sigma=sigma)
+        fast = self._run(rho, mean_service=10.0, n=n, seed=seed, sigma=sigma, speed=2.0)
+        assert [r.rid for r in fast.records] == [r.rid for r in slow.records]
+        for ours, theirs in zip(fast.records, slow.records):
+            half = theirs.latency_ms / 2.0
+            assert abs(ours.latency_ms - half) <= 4 * math.ulp(half)
+        predicted = mg1_ps_mean_sojourn(10.0 / 2.0, rho)
+        assert fast.mean_latency_ms() == pytest.approx(predicted, rel=rel)
 
     def test_low_load_tracks_formula(self):
         result = self._run(0.05, mean_service=10.0, n=2000, seed=4)

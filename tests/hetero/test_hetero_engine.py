@@ -8,8 +8,9 @@ Two claims, attested here:
    across schedulers, load levels, and fault injection.  Energy
    accounting rides along without perturbing a single float.
 2. **Energy model invariants** — the per-request energy attribution
-   sums to the pool accumulators' active+spin, the three-way
-   decomposition adds up to the total, and slicing scales the report.
+   sums to the pools' active+spin (with migrations and faults too),
+   the three-way decomposition adds up to the total, active energy
+   matches the work-over-speed formula, and slicing scales the report.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import zlib
 import pytest
 
 from repro.errors import SimulationError
+from repro.faults import overload_flip
 from repro.faults.plan import FaultPlan
 from repro.hetero import Topology
-from repro.schedulers import FixedScheduler, FMScheduler
+from repro.schedulers import FixedScheduler, FMScheduler, HurryUpScheduler
 from repro.sim import Engine, simulate
 from repro.sim._baseline import simulate_baseline
 from repro.sim.api import Admission, Scheduler
@@ -101,27 +103,59 @@ class TestTopologyValidation:
 
 
 class TestEnergyInvariants:
-    def _run(self, topology, rps=40.0, n=300, seed=17):
+    def _run(self, topology, rps=40.0, n=300, seed=17, scheduler=None, faults=False):
         arrivals = _sweep_arrivals(rps, n, seed=seed)
+        plan = overload_flip(seed=3, horizon_ms=arrivals[-1].time_ms)(0) if faults else None
         return simulate(
-            arrivals, FixedScheduler(2), cores=topology.total_cores,
-            topology=topology,
+            arrivals, scheduler or FixedScheduler(2), cores=topology.total_cores,
+            topology=topology, fault_plan=plan,
         )
 
     @pytest.mark.parametrize(
-        "topology",
+        "topology, scheduler, faults",
         [
-            Topology.homogeneous(6),
-            Topology.big_little(big=2, little=4),
+            pytest.param(Topology.homogeneous(6), None, False, id="homogeneous"),
+            pytest.param(Topology.big_little(big=2, little=4), None, False, id="big_little"),
+            pytest.param(
+                Topology.big_little(big=2, little=4),
+                HurryUpScheduler(degree=2, deadline_ms=100.0),
+                False,
+                id="big_little-hurryup",
+            ),
+            pytest.param(
+                Topology.big_little(big=2, little=4),
+                HurryUpScheduler(degree=2, deadline_ms=100.0),
+                True,
+                id="big_little-overload_flip",
+            ),
         ],
-        ids=["homogeneous", "big_little"],
     )
-    def test_request_energy_sums_to_active_plus_spin(self, topology):
-        result = self._run(topology)
+    def test_request_energy_sums_to_active_plus_spin(self, topology, scheduler, faults):
+        result = self._run(topology, scheduler=scheduler, faults=faults)
+        if scheduler is not None:  # migrations split requests across pools
+            assert sum(record.migrations for record in result.records) > 0
+        if faults:  # stalls, core loss and stragglers all fired
+            stats = result.fault_stats
+            assert stats.stalls_injected and stats.core_faults_applied
+            assert stats.stragglers_injected
         per_request = sum(record.energy_j for record in result.records)
         assert per_request == pytest.approx(
             result.energy.active_j + result.energy.spin_j, abs=1e-6
         )
+
+    def test_active_energy_is_work_over_speed(self):
+        """An oracle that does not read the energy bookkeeping: with no
+        migration, a pool's active joules are its active power per unit
+        speed times the work placed on it, whatever the degrees and the
+        contention."""
+        topology = Topology.big_little(big=2, little=4)
+        result = self._run(topology)
+        assert not any(record.migrations for record in result.records)
+        for index, pool in enumerate(topology):
+            work_ms = sum(r.seq_ms for r in result.records if r.pool == index)
+            assert work_ms > 0
+            expected_j = pool.effective_active_power_w / pool.effective_speed * work_ms / 1000
+            assert result.energy.pools[index].active_j == pytest.approx(expected_j, rel=1e-12)
 
     def test_three_way_decomposition_is_additive(self):
         result = self._run(Topology.big_little(big=2, little=4))
