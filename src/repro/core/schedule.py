@@ -97,6 +97,12 @@ class Schedule:
                 )
         self.steps: tuple[ScheduleStep, ...] = tuple(steps)
         self.wait_for_exit = bool(wait_for_exit)
+        #: ``(progress_ms, degree)`` thresholds relative to execution
+        #: start, computed once: FM reads them on every quantum tick.
+        start = self.steps[0].time_ms
+        self._progress_steps = tuple(
+            (step.time_ms - start, step.degree) for step in self.steps
+        )
 
     @property
     def admission_delay_ms(self) -> float:
@@ -121,16 +127,17 @@ class Schedule:
         executed for ``progress_ms``, it should run with ``degree``
         threads.  The first entry is always ``(0.0, initial_degree)``.
         """
-        start = self.admission_delay_ms
-        return [(step.time_ms - start, step.degree) for step in self.steps]
+        return list(self._progress_steps)
 
     def degree_at_progress(self, progress_ms: float) -> int:
-        """Degree a request should use after ``progress_ms`` of execution."""
-        degree = self.steps[0].degree
-        start = self.admission_delay_ms
-        for step in self.steps:
-            if step.time_ms - start <= progress_ms + 1e-12:
-                degree = step.degree
+        """Degree a request should use after ``progress_ms`` of execution:
+        the last step whose threshold is within ``1e-12`` ms of it (the
+        initial degree when none is)."""
+        bound = progress_ms + 1e-12
+        degree = self._progress_steps[0][1]
+        for threshold, step_degree in self._progress_steps:
+            if threshold <= bound:
+                degree = step_degree
             else:
                 break
         return degree

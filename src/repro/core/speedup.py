@@ -70,21 +70,29 @@ class SpeedupCurve(ABC):
 
     def validate(self, max_degree: int = 8) -> None:
         """Raise :class:`InvalidSpeedupError` on a malformed curve."""
-        if not math.isclose(self.speedup(1), 1.0, rel_tol=1e-9):
-            raise InvalidSpeedupError(f"s(1) must be 1.0, got {self.speedup(1)}")
-        prev = 1.0
-        for degree in range(2, max_degree + 1):
-            value = self.speedup(degree)
-            if value < prev - 1e-12:
-                raise InvalidSpeedupError(
-                    f"speedup must be non-decreasing: s({degree}) = {value} "
-                    f"< s({degree - 1}) = {prev}"
-                )
-            if value > degree + 1e-9:
-                raise InvalidSpeedupError(
-                    f"superlinear speedup unsupported: s({degree}) = {value}"
-                )
-            prev = value
+        _check_values([self.speedup(d) for d in range(1, max(max_degree, 1) + 1)])
+
+
+def _check_values(values: Sequence[float]) -> None:
+    """The curve checks over ``values = [s(1), ..., s(n)]``: s(1) is 1,
+    and every later value is a number, not below its predecessor and
+    not superlinear."""
+    if not math.isclose(values[0], 1.0, rel_tol=1e-9):
+        raise InvalidSpeedupError(f"s(1) must be 1.0, got {values[0]}")
+    prev = 1.0
+    for degree, value in enumerate(values[1:], start=2):
+        if value != value:
+            raise InvalidSpeedupError(f"speedup must be a number: s({degree}) = {value}")
+        if value < prev - 1e-12:
+            raise InvalidSpeedupError(
+                f"speedup must be non-decreasing: s({degree}) = {value} "
+                f"< s({degree - 1}) = {prev}"
+            )
+        if value > degree + 1e-9:
+            raise InvalidSpeedupError(
+                f"superlinear speedup unsupported: s({degree}) = {value}"
+            )
+        prev = value
 
 
 class TabulatedSpeedup(SpeedupCurve):
@@ -104,8 +112,8 @@ class TabulatedSpeedup(SpeedupCurve):
     def __init__(self, values: Sequence[float]) -> None:
         if len(values) == 0:
             raise InvalidSpeedupError("tabulated curve needs at least s(1)")
-        self._values = tuple(float(v) for v in values)
-        self.validate(max_degree=len(self._values))
+        self._values = tuple(map(float, values))
+        _check_values(self._values)
 
     def speedup(self, degree: int) -> float:
         if degree < 1:
@@ -236,6 +244,11 @@ class LengthDependentSpeedupModel(SpeedupModel):
         self.max_degree = int(max_degree)
         self._short_table = short_curve.table(self.max_degree)
         self._long_table = long_curve.table(self.max_degree)
+        #: ``(s_short(d), s_long(d))`` for d >= 2 as plain floats, the
+        #: operands of :meth:`curve_for`'s per-arrival blend.
+        self._blend_pairs = tuple(
+            zip(self._short_table[1:].tolist(), self._long_table[1:].tolist())
+        )
 
     def _weight(self, seq_ms: float) -> float:
         """Interpolation weight in [0, 1]: 0 = short curve, 1 = long curve."""
@@ -246,13 +259,26 @@ class LengthDependentSpeedupModel(SpeedupModel):
         return math.log(seq_ms / self.short_ms) / math.log(self.long_ms / self.short_ms)
 
     def curve_for(self, seq_ms: float) -> SpeedupCurve:
+        """The blend ``(1 - w) * short + w * long`` with ``s(1) = 1``,
+        made non-decreasing by a running maximum.
+
+        Called once per arrival, so it runs over plain floats: the same
+        multiplies and adds numpy does element by element, hence
+        bit-identical to the numpy blend.  Interpolation of two
+        valid curves is non-decreasing, but the running max guards
+        against float drift; it is written so a NaN propagates (as
+        ``np.maximum`` does) and the curve check rejects it.
+        """
         w = self._weight(seq_ms)
-        blended = (1.0 - w) * self._short_table + w * self._long_table
-        blended[0] = 1.0
-        # Interpolation of two valid curves is non-decreasing, but guard
-        # against float drift before handing the table out.
-        np.maximum.accumulate(blended, out=blended)
-        return TabulatedSpeedup(blended)
+        keep = 1.0 - w
+        running = 1.0
+        values = [1.0]
+        for short, long_ in self._blend_pairs:
+            value = keep * short + w * long_
+            if not value <= running:
+                running = value
+            values.append(running)
+        return TabulatedSpeedup(values)
 
     def tables_for(self, seq_ms: np.ndarray, max_degree: int) -> np.ndarray:
         seq = np.asarray(seq_ms, dtype=float)

@@ -86,7 +86,8 @@ class IntervalTable:
         row above :attr:`max_load`)."""
         if q_r < 1:
             raise ValueError(f"load must be >= 1, got {q_r}")
-        return self._schedules[min(q_r, self.max_load) - 1]
+        schedules = self._schedules
+        return schedules[min(q_r, len(schedules)) - 1]
 
     def __len__(self) -> int:
         return len(self._schedules)

@@ -79,6 +79,8 @@ class FMScheduler(Scheduler):
         self.table = table
         self.boosting = boosting
         self.progress = progress
+        #: The progress mode resolved once: ``on_quantum`` runs per tick.
+        self._wall_progress = progress == "wall"
         self.max_backlog = max_backlog
         self.deadline_ms = deadline_ms
         if not boosting:
@@ -121,17 +123,15 @@ class FMScheduler(Scheduler):
 
     def on_quantum(self, ctx: SchedulerContext, request: SimRequest) -> int:
         row = self.table.lookup(ctx.system_count)
-        if self.progress == "effective":
-            progress = request.effective_progress_ms()
-        else:
+        if self._wall_progress:
             progress = request.progress_ms(ctx.now_ms)
-        desired = max(row.degree_at_progress(progress), request.degree)
-        if (
-            self.boosting
-            and desired > request.degree
-            and desired >= row.max_degree
-            and not request.boosted
-        ):
+        else:
+            progress = request.effective_ms  # = effective_progress_ms()
+        desired = row.degree_at_progress(progress)
+        degree = request.degree
+        if desired <= degree:
+            return degree  # the common tick: keep the current degree
+        if self.boosting and desired >= row.max_degree and not request.boosted:
             # Boost only when stepping to the maximum degree and only
             # within the global budget (Section 4.2).
             ctx.try_boost(request, desired)

@@ -114,9 +114,18 @@ class SchedulerContext:
 
     @property
     def system_count(self) -> int:
-        """Instantaneous number of requests in the system (running,
-        delayed, or queued) — the interval-table index."""
-        return self._engine.system_count
+        """The interval-table load index: requests *admitted* to the
+        system (running or waiting out an admission delay), plus the
+        candidate currently being evaluated.
+
+        Requests queued behind the ``e1`` marker are outside the system
+        — they have not been admitted — so they do not inflate the
+        index (otherwise a transient backlog would pin every later
+        lookup at the ``e1`` row and starve the server).  Read straight
+        off the engine's counts: FM asks on every quantum tick.
+        """
+        engine = self._engine
+        return len(engine._running) + len(engine._delayed) + engine._candidate
 
     @property
     def running_count(self) -> int:

@@ -22,8 +22,12 @@ rescale factors, rates, and the earliest tentative completion in one
 sweep) with no dict or allocation churn; the commit loop inlines
 :meth:`~repro.sim.request.SimRequest.advance` and does no energy
 arithmetic (energy is settled at finish and migration); the backlog is
-a ``deque`` and delayed ids a sorted list.  A machine without a
-topology is one pool at speed 1.0, so every run takes the same loops.
+a ``deque`` and delayed ids a sorted list.  Quantum ticks, the most
+frequent event under FM, are handled inline in :meth:`Engine.run`
+with the scheduler hook bound once per run, and the popped tick is
+re-armed in place with the queue's own sequence numbering.  A machine
+without a topology is one pool at speed 1.0, so every run takes the
+same loops.
 Every optimization preserves bit-for-bit identity with the frozen
 reference implementation in :mod:`repro.sim._baseline` — in particular
 the demand sums are re-accumulated in running-set order rather than
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from heapq import heappop
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -235,19 +239,6 @@ class Engine:
     # Observable state (SchedulerContext reads these)
     # ------------------------------------------------------------------
     @property
-    def system_count(self) -> int:
-        """The interval-table load index: requests *admitted* to the
-        system (running or waiting out an admission delay), plus the
-        candidate currently being evaluated.
-
-        Requests queued behind the ``e1`` marker are outside the system
-        — they have not been admitted — so they do not inflate the
-        index (otherwise a transient backlog would pin every later
-        lookup at the ``e1`` row and starve the server).
-        """
-        return len(self._running) + len(self._delayed) + self._candidate
-
-    @property
     def running_count(self) -> int:
         return len(self._running)
 
@@ -321,14 +312,21 @@ class Engine:
                     stall.time_ms, Event(EventKind.FAULT, payload=(_STALL, stall))
                 )
 
-        # The run loop: hot enough that the queue pop and the kind
-        # dispatch are inlined here, with enum members and the heap
-        # hoisted to locals (a few % per lookup at this call count).
-        # Branches are ordered by event frequency: quantum ticks
-        # dominate, then completions, then arrivals.
-        heap = self._queue.heap
+        # The run loop: hot enough that the queue pop, the kind dispatch
+        # and the whole quantum tick are inlined here, with enum members,
+        # the heap and the scheduler hook hoisted to locals (a few % per
+        # lookup at this call count).  Branches are ordered by event
+        # frequency: quantum ticks dominate, then completions, then
+        # arrivals.
+        queue = self._queue
+        heap = queue.heap
         requests = self._requests
         streaming = self._stream is not None
+        telemetry = self.telemetry
+        ctx = self._ctx
+        on_quantum = self.scheduler.on_quantum
+        quantum_ms = self.quantum_ms
+        running_state = RequestState.RUNNING
         quantum_kind = EventKind.QUANTUM
         completion_kind = EventKind.COMPLETION
         arrival_kind = EventKind.ARRIVAL
@@ -346,13 +344,40 @@ class Engine:
                 raise SimulationError(
                     f"time went backwards: {time_ms} < {now}"
                 )
-            self._commit(time_ms if time_ms > now else now)
+            if time_ms > now:
+                now = time_ms
+            self._commit(now)
             if kind is quantum_kind:
+                # The self-scheduling tick (Section 4.2).  Rates are
+                # clean between events, so a skipped tick needs no
+                # recompute.
                 try:
                     request = requests[event.request_id]
                 except KeyError:
                     continue  # finished + discarded (streaming mode)
-                self._handle_quantum(request, event)
+                if request.state is not running_state:
+                    continue  # finished or shed: the tick chain ends
+                was_boosted = request.boosted
+                desired = on_quantum(ctx, request)
+                if desired > request.degree:
+                    request.raise_degree(desired)
+                    self._refresh_degree_cache(request)
+                    self._rates_dirty = True
+                    if telemetry is not None:
+                        telemetry.metrics.counter("sim.degree_raises").inc()
+                if telemetry is not None and request.boosted and not was_boosted:
+                    telemetry.metrics.counter("sim.boosts").inc()
+                    telemetry.tracer.instant(
+                        "boost", track="sim", lane=request.rid, at_ms=now,
+                        degree=request.degree,
+                    )
+                # A request has at most one tick in flight, so the event
+                # just popped is re-armed in place: no allocation, and
+                # the sequence number is drawn exactly as
+                # EventQueue.push draws it, so time ties break the same.
+                seq = queue.next_seq
+                queue.next_seq = seq + 1
+                heappush(heap, (now + quantum_ms, seq, event))
             elif kind is completion_kind:
                 self._handle_completion(event)
             elif kind is arrival_kind:
@@ -439,29 +464,6 @@ class Engine:
         decision = self.scheduler.on_wait_check(self._ctx, request)
         self._candidate = 0
         self._apply_admission(request, decision)
-
-    def _handle_quantum(self, request: SimRequest, event: Event) -> None:
-        if request.state is not RequestState.RUNNING:
-            return
-        telemetry = self.telemetry
-        if telemetry is not None:
-            was_boosted = request.boosted
-        desired = self.scheduler.on_quantum(self._ctx, request)
-        if desired > request.degree:
-            request.raise_degree(desired)
-            self._refresh_degree_cache(request)
-            self._rates_dirty = True
-            if telemetry is not None:
-                telemetry.metrics.counter("sim.degree_raises").inc()
-        if telemetry is not None and request.boosted and not was_boosted:
-            telemetry.metrics.counter("sim.boosts").inc()
-            telemetry.tracer.instant(
-                "boost", track="sim", lane=request.rid, at_ms=self.now_ms,
-                degree=request.degree,
-            )
-        # Requests have at most one quantum tick in flight, so the event
-        # object just popped is simply re-armed — no allocation per tick.
-        self._queue.push(self.now_ms + self.quantum_ms, event)
 
     def _handle_completion(self, event: Event) -> None:
         finished = [r for r in self._running.values() if r.is_finished]

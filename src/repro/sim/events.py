@@ -71,22 +71,24 @@ class EventQueue:
 
     The backing heap (:attr:`heap`) holds raw ``(time_ms, sequence,
     event)`` tuples; the engine's run loop reads it directly to skip a
-    method call per event.
+    method call per event, and re-arms quantum ticks by drawing
+    :attr:`next_seq` itself exactly as :meth:`push` does.
     """
 
-    __slots__ = ("heap", "_next_seq", "_arrival_seq")
+    __slots__ = ("heap", "next_seq", "_arrival_seq")
 
     def __init__(self) -> None:
         self.heap: list[tuple[float, int, Event]] = []
-        self._next_seq = 0
+        #: Sequence number of the next :meth:`push` (FIFO tie-break).
+        self.next_seq = 0
         self._arrival_seq = -(2**62)
 
     def push(self, time_ms: float, event: Event) -> None:
         """Schedule ``event`` at ``time_ms``."""
         if time_ms < 0:
             raise ValueError(f"event time must be >= 0, got {time_ms}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        seq = self.next_seq
+        self.next_seq = seq + 1
         heapq.heappush(self.heap, (time_ms, seq, event))
 
     def push_streamed_arrival(self, time_ms: float, event: Event) -> None:

@@ -27,6 +27,7 @@ from repro.errors import SimulationError
 __all__ = ["RequestState", "SimRequest"]
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 class RequestState(enum.Enum):
@@ -82,8 +83,10 @@ class SimRequest:
         self, rid: int, arrival_ms: float, seq_ms: float, speedup: SpeedupCurve,
         tag: object = None,
     ) -> None:
-        if seq_ms <= 0:
-            raise SimulationError(f"request {rid}: seq_ms must be positive, got {seq_ms}")
+        if not 0.0 < seq_ms < _INF:  # also false for NaN
+            raise SimulationError(
+                f"request {rid}: seq_ms must be positive and finite, got {seq_ms}"
+            )
         self.rid = rid
         self.arrival_ms = arrival_ms
         self.seq_ms = seq_ms

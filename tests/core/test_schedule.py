@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,3 +145,46 @@ class TestIntervalSchedule:
                 assert sigma.degree_at_progress(midpoint) == degree
             elapsed += duration
         assert sigma.degree_at_progress(elapsed + 1.0) == sigma.max_degree
+
+
+def _naive_degree_at_progress(schedule: Schedule, progress_ms: float) -> int:
+    """Reference: walk the steps, subtracting the start per comparison."""
+    degree = schedule.steps[0].degree
+    start = schedule.steps[0].time_ms
+    for step in schedule.steps:
+        if step.time_ms - start <= progress_ms + 1e-12:
+            degree = step.degree
+        else:
+            break
+    return degree
+
+
+class TestDegreeAtProgressOracle:
+    """The precomputed thresholds answer exactly as the naive walk,
+    including at each threshold and within 1e-12 ms of it."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_naive_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        steps = int(rng.integers(1, 7))
+        start = float(rng.choice([0.0, rng.uniform(0.0, 80.0)]))
+        gaps = rng.uniform(0.1, 120.0, size=steps - 1)
+        times = [start, *(start + np.cumsum(gaps)).tolist()]
+        degrees = np.sort(rng.choice(np.arange(1, 13), size=steps, replace=False))
+        schedule = Schedule(
+            [ScheduleStep(t, int(d)) for t, d in zip(times, degrees)],
+            wait_for_exit=bool(rng.integers(0, 2)),
+        )
+        probes = [-1.0, -1e-12, 0.0, 1e-12, 1e9, *rng.uniform(0.0, 800.0, size=32)]
+        for threshold, _ in schedule.progress_steps():
+            probes += [
+                threshold,
+                threshold - 1e-12,
+                threshold + 1e-12,
+                math.nextafter(threshold - 1e-12, -math.inf),
+                math.nextafter(threshold + 1e-12, math.inf),
+            ]
+        for progress in probes:
+            assert schedule.degree_at_progress(progress) == _naive_degree_at_progress(
+                schedule, progress
+            ), (schedule, progress)

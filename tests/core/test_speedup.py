@@ -14,6 +14,8 @@ from repro.core.speedup import (
     UniformSpeedupModel,
 )
 from repro.errors import InvalidSpeedupError
+from repro.workloads.bing import bing_workload
+from repro.workloads.lucene import lucene_workload
 
 
 class TestTabulatedSpeedup:
@@ -168,3 +170,60 @@ class TestUniformSpeedupModel:
         tables = model.tables_for(np.array([1.0, 2.0]), 2)
         assert tables.shape == (2, 2)
         assert np.allclose(tables, [[1.0, 1.5], [1.0, 1.5]])
+
+
+class TestNonFiniteSpeedups:
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, float("nan"), 2.0], [float("nan"), 1.5], [1.0, float("inf")]],
+    )
+    def test_tabulated_rejects_non_finite(self, values):
+        with pytest.raises(InvalidSpeedupError):
+            TabulatedSpeedup(values)
+
+    def test_curve_for_rejects_nan_demand(self):
+        model = LengthDependentSpeedupModel(
+            TabulatedSpeedup([1.0, 1.2, 1.3]), TabulatedSpeedup([1.0, 1.9, 2.6]),
+            10.0, 1000.0, max_degree=3,
+        )
+        with pytest.raises(InvalidSpeedupError):
+            model.curve_for(float("nan"))
+
+
+class TestCurveForOracle:
+    """``curve_for`` blends in plain floats; it must equal the numpy
+    blend plus ``np.maximum.accumulate`` bit for bit."""
+
+    @staticmethod
+    def _numpy_curve(model: LengthDependentSpeedupModel, seq_ms: float) -> list[float]:
+        w = model._weight(seq_ms)
+        blended = (1.0 - w) * model._short_table + w * model._long_table
+        blended[0] = 1.0
+        np.maximum.accumulate(blended, out=blended)
+        return blended.tolist()
+
+    @pytest.mark.parametrize("name", ["bing", "lucene", "drift"])
+    def test_matches_numpy_blend(self, name):
+        if name == "drift":
+            # Anchors that dip within the curve check's 1e-12
+            # tolerance, so the blend dips too and the running max
+            # does real work.
+            model = LengthDependentSpeedupModel(
+                TabulatedSpeedup([1.0, 1.0 - 5e-13, 1.9, 1.9 - 5e-13]),
+                TabulatedSpeedup([1.0, 1.1, 3.0 - 5e-13, 3.0]),
+                10.0, 1000.0, max_degree=6,
+            )
+        else:
+            workload = bing_workload() if name == "bing" else lucene_workload()
+            model = workload.speedup_model
+        rng = np.random.default_rng(2024)
+        demands = rng.lognormal(np.log(model.short_ms * 4), 1.5, size=2000).tolist()
+        lo, hi = model.short_ms, model.long_ms
+        demands += [
+            lo, hi, lo / 2, hi * 2, 1e-9, 1e12,
+            np.nextafter(lo, 0.0), np.nextafter(lo, np.inf),
+            np.nextafter(hi, 0.0), np.nextafter(hi, np.inf),
+        ]
+        for seq_ms in demands:
+            curve = model.curve_for(float(seq_ms))
+            assert list(curve._values) == self._numpy_curve(model, float(seq_ms)), seq_ms

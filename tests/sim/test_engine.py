@@ -238,6 +238,15 @@ class TestEngineValidation:
         with pytest.raises(SimulationError):
             Engine(cores=2, scheduler=SequentialScheduler(), quantum_ms=0.0)
 
+    @pytest.mark.parametrize("seq", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_rejects_non_finite_demand_naming_the_request(self, seq, streamed):
+        """A non-finite demand is refused when its request is built,
+        not reported later as a deadlock."""
+        specs = _arrivals([(0.0, 10.0), (5.0, seq), (9.0, 10.0)])
+        with pytest.raises(SimulationError, match="request 1: seq_ms"):
+            simulate(specs if not streamed else iter(specs), SequentialScheduler(), cores=2)
+
     def test_unsorted_arrivals_accepted(self):
         specs = _arrivals([(50.0, 10.0), (0.0, 10.0)])
         result = simulate(specs, SequentialScheduler(), cores=2)

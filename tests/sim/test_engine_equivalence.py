@@ -100,6 +100,7 @@ _SCHEDULER_FACTORIES = {
     "adaptive": lambda: AdaptiveScheduler(max_degree=4, target_parallelism=6.0),
     "fm": lambda: FMScheduler(_interval_table()),
     "fm-noboost": lambda: FMScheduler(_interval_table(), boosting=False),
+    "fm-wall": lambda: FMScheduler(_interval_table(), progress="wall"),
 }
 
 

@@ -27,6 +27,11 @@ class TestLifecycle:
         with pytest.raises(SimulationError):
             SimRequest(0, 0.0, 0.0, _CURVE)
 
+    @pytest.mark.parametrize("seq", [float("nan"), float("inf")])
+    def test_rejects_non_finite_work(self, seq):
+        with pytest.raises(SimulationError, match="request 7"):
+            SimRequest(7, 0.0, seq, _CURVE)
+
     def test_start(self):
         req = _request()
         req.start(20.0, 2)

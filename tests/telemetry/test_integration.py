@@ -22,6 +22,7 @@ from repro.sim.trace import SCHED_TRACK, TraceRecorder
 from repro.telemetry import Telemetry, install
 from repro.workloads.arrivals import UniformProcess
 from repro.workloads.workload import Workload
+from tests.sim.test_engine_equivalence import _interval_table, _record_key
 
 _CURVE = TabulatedSpeedup([1.0, 1.5, 2.0, 2.4])
 
@@ -128,15 +129,27 @@ class TestSimEngine:
             simulate(_specs([(0.0, 50.0)]), SequentialScheduler(), cores=4)
         assert any(s.name == "run" for s in ambient.tracer.by_track("sim"))
 
-    def test_identical_results_with_and_without_telemetry(self):
+    @pytest.mark.parametrize("policy", ["seq", "fm"])
+    def test_identical_results_with_and_without_telemetry(self, policy):
+        """Telemetry observes and never steers: every record field is
+        equal with and without it.  SEQ never ticks; FM with boosting
+        takes the quantum tick's degree-raise and boost branches."""
+        def scheduler():
+            if policy == "seq":
+                return SequentialScheduler()
+            return FMScheduler(_interval_table(), boosting=True)
+
         specs = [(i * 7.0, 40.0 + 11.0 * (i % 5)) for i in range(30)]
-        plain = simulate(_specs(specs), SequentialScheduler(), cores=4)
-        traced = simulate(
-            _specs(specs), SequentialScheduler(), cores=4, telemetry=Telemetry()
-        )
-        assert [r.finish_ms for r in plain.records] == [
-            r.finish_ms for r in traced.records
+        telemetry = Telemetry()
+        plain = simulate(_specs(specs), scheduler(), cores=4)
+        traced = simulate(_specs(specs), scheduler(), cores=4, telemetry=telemetry)
+        assert [_record_key(r) for r in plain.records] == [
+            _record_key(r) for r in traced.records
         ]
+        if policy == "fm":
+            counters = telemetry.metrics.as_dict()["counters"]
+            assert counters["sim.degree_raises"] > 0
+            assert counters["sim.boosts"] > 0
 
 
 class TestTraceRecorderIntegration:
