@@ -533,14 +533,16 @@ class AdaptiveReplicationController:
         )
         percentile = cfg.hedge_percentile.get(mode)
         delay: float | None = None
-        if percentile is not None and samples is not None:
-            delay = float(np.quantile(samples, percentile))
         retry: RetryPolicy | None = None
         if samples is not None:
-            timeout = max(
-                cfg.retry_timeout_floor_ms,
-                float(np.quantile(samples, cfg.retry_timeout_percentile)),
-            )
+            # One partition of the buffer for both percentiles (each
+            # value equals its own single-percentile call).
+            retry_p = cfg.retry_timeout_percentile
+            hedge_p = retry_p if percentile is None else percentile
+            hedge_q, retry_q = np.quantile(samples, [hedge_p, retry_p]).tolist()
+            if percentile is not None:
+                delay = hedge_q
+            timeout = max(cfg.retry_timeout_floor_ms, retry_q)
             retry = RetryPolicy(
                 timeout_ms=timeout,
                 max_retries=cfg.max_retries[mode],

@@ -30,6 +30,7 @@ do).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,10 @@ class FaultPlan:
         ``1 + lognormal(straggler_mu, straggler_sigma)`` so it is
         always > 1.
     seed:
-        Root seed for the per-request straggler draws.  The draw for
-        request ``rid`` depends only on ``(seed, rid)`` — independent
-        of arrival order and of every other fault — so plans compose
-        deterministically.
+        Root seed for the per-request straggler draws, a non-negative
+        int.  The draw for request ``rid`` depends only on ``(seed,
+        rid)`` — independent of arrival order and of every other fault
+        — so plans compose deterministically.
     """
 
     core_faults: tuple[CoreFault, ...] = ()
@@ -116,6 +117,8 @@ class FaultPlan:
             raise FaultInjectionError(
                 f"straggler_sigma must be >= 0: {self.straggler_sigma}"
             )
+        _check_straggler_inputs(self.seed, self.straggler_mu, self.straggler_sigma)
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "core_faults", tuple(self.core_faults))
         object.__setattr__(self, "stalls", tuple(self.stalls))
 
@@ -135,6 +138,32 @@ class FaultPlan:
         if rng.random() >= self.straggler_rate:
             return 1.0
         return 1.0 + float(rng.lognormal(self.straggler_mu, self.straggler_sigma))
+
+    def straggler_inflations(self, start: int, stop: int) -> list[float]:
+        """Inflation factors of rids ``start .. stop - 1``, element for
+        element equal to :meth:`straggler_inflation` (the definition).
+
+        The scalar method spends nearly all its time setting up a numpy
+        generator per rid.  Here the straggler coin, the first
+        ``random()`` of ``default_rng([seed, rid])``, is recomputed for
+        the whole block at once (:func:`_first_uniforms`); only the rids
+        whose coin lands below ``straggler_rate`` call the scalar method
+        for their lognormal factor.
+        """
+        if not 0 <= start <= stop:
+            raise FaultInjectionError(f"bad rid range [{start}, {stop})")
+        rate = self.straggler_rate
+        if rate <= 0.0:
+            return [1.0] * (stop - start)
+        if stop > _ONE_WORD:
+            # A rid past 32 bits seeds with two entropy words; no run
+            # gets there, so the definition serves.
+            return [self.straggler_inflation(rid) for rid in range(start, stop)]
+        inflation = self.straggler_inflation
+        return [
+            1.0 if coin >= rate else inflation(rid)
+            for rid, coin in zip(range(start, stop), _first_uniforms(self.seed, start, stop))
+        ]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -156,6 +185,7 @@ class FaultPlan:
         Timed events are Poisson with the given rates (in events per
         *second* of simulated time); all randomness flows from ``seed``.
         """
+        _check_straggler_inputs(seed, straggler_mu, straggler_sigma)
         if horizon_ms <= 0:
             raise FaultInjectionError(f"horizon_ms must be positive: {horizon_ms}")
         if core_fault_rate_hz < 0 or stall_rate_hz < 0:
@@ -177,6 +207,110 @@ class FaultPlan:
             straggler_sigma=straggler_sigma,
             seed=seed,
         )
+
+
+def _check_straggler_inputs(seed: object, mu: float, sigma: float) -> None:
+    """Reject at construction what would otherwise fail late or
+    silently: numpy takes only a non-negative int seed (and would raise
+    at the first arrival), a NaN factor compares false against 1.0 (no
+    request would straggle), and an infinite one leaves a request that
+    never finishes."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise FaultInjectionError(f"seed must be a non-negative int: {seed!r}")
+    if not math.isfinite(mu):
+        raise FaultInjectionError(f"straggler_mu must be finite: {mu}")
+    if not math.isfinite(sigma):
+        raise FaultInjectionError(f"straggler_sigma must be finite: {sigma}")
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
+# (numpy/random/src/pcg64) constants, for :func:`_first_uniforms`.
+_ONE_WORD = 1 << 32
+_MASK32 = _ONE_WORD - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Seeding steps the state twice and drawing once more:
+# state = seed * M^2 + inc * (M^2 + M + 1) with inc = 2 * initseq + 1.
+_PCG_M2 = _PCG_MULT * _PCG_MULT & _MASK128
+_PCG_C = (_PCG_M2 + _PCG_MULT + 1) & _MASK128
+_PCG_C2 = 2 * _PCG_C & _MASK128
+_TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53, numpy's next_double scale
+
+
+def _first_uniforms(seed: int, start: int, stop: int) -> list[float]:
+    """``default_rng([seed, rid]).random()`` for every rid in
+    ``[start, stop)`` (``stop <= 2**32``), bit for bit.
+
+    The SeedSequence entropy of ``[seed, rid]`` is seed's little-endian
+    32-bit words followed by the one word of ``rid``.  Its hash/mix
+    runs on uint32 arrays over all rids at once (the hash multiplier
+    evolves identically for every rid, so it stays a Python int); the
+    128-bit PCG64 seeding and one XSL-RR output then take a few Python
+    int operations per rid.
+    """
+    n = stop - start
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = [np.full(n, word, dtype=np.uint32) for word in words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)
+    ]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+    # generate_state(4, uint64): eight uint32 words, paired little-endian.
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
+    )
+    uniforms = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        x = (
+            ((s_hi << 64) | s_lo) * _PCG_M2 + ((i_hi << 64) | i_lo) * _PCG_C2 + _PCG_C
+        ) & _MASK128
+        rot = x >> 122
+        x = ((x >> 64) ^ x) & _MASK64
+        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        uniforms.append((x >> 11) * _TO_UNIT)
+    return uniforms
 
 
 def _poisson_times(

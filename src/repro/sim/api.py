@@ -47,7 +47,11 @@ class AdmissionAction(enum.Enum):
 
 @dataclass(frozen=True)
 class Admission:
-    """A policy's decision for a waiting request."""
+    """A policy's decision for a waiting request.
+
+    Immutable, so :meth:`start` and :meth:`wait_for_exit` hand out
+    shared instances instead of building one per decision.
+    """
 
     action: AdmissionAction
     degree: int = 1
@@ -67,7 +71,16 @@ class Admission:
         ``pool`` optionally pins the request to a core pool on a
         heterogeneous topology (default: engine placement).
         """
-        return cls(AdmissionAction.START, degree=degree, pool=pool)
+        key = (degree, pool)
+        try:
+            return _STARTS[key]
+        except KeyError:
+            admission = cls(AdmissionAction.START, degree=degree, pool=pool)
+            # Only plain ints are shared: an equal numpy integer must
+            # not hand its type to later callers.
+            if type(degree) is int and (pool is None or type(pool) is int):
+                _STARTS[key] = admission
+            return admission
 
     @classmethod
     def delay(cls, delay_ms: float) -> "Admission":
@@ -77,7 +90,7 @@ class Admission:
     @classmethod
     def wait_for_exit(cls) -> "Admission":
         """Queue until another request exits (FM's ``e1`` marker)."""
-        return cls(AdmissionAction.WAIT_FOR_EXIT)
+        return _WAIT_FOR_EXIT
 
     @classmethod
     def shed(cls, deadline: bool = False) -> "Admission":
@@ -88,6 +101,11 @@ class Admission:
         metrics layer accounts the two separately.
         """
         return cls(AdmissionAction.SHED, deadline=deadline)
+
+
+#: Shared :meth:`Admission.start` decisions, by ``(degree, pool)``.
+_STARTS: dict[tuple[int, int | None], Admission] = {}
+_WAIT_FOR_EXIT = Admission(AdmissionAction.WAIT_FOR_EXIT)
 
 
 class SchedulerContext:
@@ -178,15 +196,15 @@ class SchedulerContext:
 
     @property
     def fastest_pool(self) -> int:
-        """Index of the highest-speed pool (0 when homogeneous)."""
-        topology = self._engine.topology
-        return topology.fastest_pool if topology is not None else 0
+        """Index of the highest-speed pool (0 when homogeneous; first
+        wins ties).  Fixed per engine, so read off it directly."""
+        return self._engine._fastest_pool
 
     @property
     def slowest_pool(self) -> int:
-        """Index of the lowest-speed pool (0 when homogeneous)."""
-        topology = self._engine.topology
-        return topology.slowest_pool if topology is not None else 0
+        """Index of the lowest-speed pool (0 when homogeneous; first
+        wins ties)."""
+        return self._engine._slowest_pool
 
     def pool_free_cores(self, pool: int) -> float:
         """Occupancy headroom of ``pool``: online cores minus the

@@ -27,7 +27,10 @@ frequent event under FM, are handled inline in :meth:`Engine.run`
 with the scheduler hook bound once per run, and the popped tick is
 re-armed in place with the queue's own sequence numbering.  A machine
 without a topology is one pool at speed 1.0, so every run takes the
-same loops.
+same loops.  Fault injection costs a request only what fires: straggler
+draws come a block at a time, per-request stall checks run only before
+the latest injected stall end, and the commit gauges (busy cores,
+threads) are summed once per rate refresh, not per commit.
 Every optimization preserves bit-for-bit identity with the frozen
 reference implementation in :mod:`repro.sim._baseline` — in particular
 the demand sums are re-accumulated in running-set order rather than
@@ -73,6 +76,8 @@ _FINISH_EPS = 1e-6  # ms — one nanosecond of slack for float residue
 #: :meth:`Engine._rounded_completion`).
 _ROUNDING_ULPS = 4.0
 _INF = float("inf")
+#: Most straggler draws computed per block (:meth:`Engine._straggler_block`).
+_INFLATION_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -225,6 +230,11 @@ class Engine:
         npools = len(self._pool_online)
         self._pool_members: list[dict[int, SimRequest]] = [{} for _ in range(npools)]
         self._pools_by_speed = sorted(range(npools), key=lambda i: (-self._pool_speeds[i], i))
+        #: Pool extremes for the scheduler context, first wins ties
+        #: (as :attr:`Topology.fastest_pool` / ``slowest_pool``).
+        speeds = self._pool_speeds
+        self._fastest_pool = speeds.index(max(speeds))
+        self._slowest_pool = speeds.index(min(speeds))
         #: Energy settlement state, in watt-milliseconds (= millijoules)
         #: and core-milliseconds: per-pool active/spin energy and
         #: occupied core time settled at each finish and migration, and
@@ -234,6 +244,18 @@ class Engine:
         self._occupied_ms = [0.0] * npools
         self._online_ms = [0.0] * npools
         self._online_since_ms = 0.0
+        #: The commit gauges, summed in running-set order by the last
+        #: rate refresh (the running set and its shares only change
+        #: under a refresh).
+        self._busy_cores = 0.0
+        self._total_threads = 0
+        #: Latest ``stalled_until_ms`` injected: no request can be
+        #: stalled at or past it, so only earlier commits check.
+        self._stall_horizon = 0.0
+        #: Straggler inflations of rids ``_inflations_start ..`` (one
+        #: block, drawn as arrivals reach it).
+        self._inflations: list[float] = []
+        self._inflations_start = 0
 
     # ------------------------------------------------------------------
     # Observable state (SchedulerContext reads these)
@@ -438,7 +460,11 @@ class Engine:
     # ------------------------------------------------------------------
     def _handle_arrival(self, request: SimRequest) -> None:
         if self.fault_plan is not None:
-            inflation = self.fault_plan.straggler_inflation(request.rid)
+            offset = request.rid - self._inflations_start
+            if not 0 <= offset < len(self._inflations):
+                self._straggler_block(request.rid)
+                offset = 0
+            inflation = self._inflations[offset]
             if inflation > 1.0:
                 # A straggler: the request carries more work than its
                 # nominal demand (slow replica, cold cache).  seq_ms
@@ -455,6 +481,21 @@ class Engine:
         decision = self.scheduler.on_arrival(self._ctx, request)
         self._candidate = 0
         self._apply_admission(request, decision)
+
+    def _straggler_block(self, rid: int) -> None:
+        """Draw the next block of straggler inflations, from ``rid``.
+
+        A block covers the requests still known (all of them on a
+        materialized run, one ahead on a stream) but at least twice the
+        last block, so streamed runs grow their blocks geometrically;
+        each block holds at most ``_INFLATION_BLOCK`` draws.
+        """
+        size = min(
+            _INFLATION_BLOCK,
+            max(self._submitted - rid, 2 * len(self._inflations)),
+        )
+        self._inflations = self.fault_plan.straggler_inflations(rid, rid + size)
+        self._inflations_start = rid
 
     def _handle_delay_expired(self, request: SimRequest) -> None:
         if request.state is not RequestState.DELAYED:
@@ -582,6 +623,7 @@ class Engine:
                 return  # nothing running; the stall is a no-op
             victim.stalled_until_ms = self.now_ms + stall.duration_ms
             victim.impaired = True
+            self._stall_horizon = max(self._stall_horizon, victim.stalled_until_ms)
             stats.stalls_injected += 1
             stats.faults_fired += 1
             self._observe_fault(
@@ -841,17 +883,15 @@ class Engine:
         if dt > 0:
             now = self.now_ms
             attribution = self.attribution
-            have_faults = self.fault_plan is not None
-            busy_cores = 0.0
-            total_threads = 0
+            # Stall boundaries coincide with commit boundaries (the
+            # STALL / STALL_END events force commits), so stalledness
+            # is constant across [now, t).  Past the stall horizon no
+            # request is stalled — skip the per-request check.
+            check_stalls = now < self._stall_horizon
             for request in self._running.values():
                 factor = request.share_factor
                 core_alloc = request.share_cores
-                # Stall boundaries coincide with commit boundaries (the
-                # STALL / STALL_END events force commits), so stalledness
-                # is constant across [now, t).  Without a fault plan no
-                # request is ever stalled — skip the check entirely.
-                stalled = have_faults and request.is_stalled(now)
+                stalled = check_stalls and request.is_stalled(now)
                 useful = factor * dt
                 if attribution:
                     if stalled:
@@ -880,12 +920,12 @@ class Engine:
                     residency[degree] += dt
                 except KeyError:
                     residency[degree] = dt
-                busy_cores += core_alloc
-                total_threads += degree
             in_system = (
                 len(self._running) + len(self._delayed) + len(self._waiting_fifo)
             )
-            self._metrics.observe_interval(dt, total_threads, busy_cores, in_system)
+            self._metrics.observe_interval(
+                dt, self._total_threads, self._busy_cores, in_system
+            )
         self.now_ms = t
 
     def _recompute_rates(self) -> None:
@@ -905,11 +945,14 @@ class Engine:
            1.0`` is exact, so a speed-1.0 pool reproduces the reference)
            inline and track the earliest tentative completion in the
            same sweep.
+
+        Then one pass in running-set order re-sums the commit gauges
+        (busy cores, threads), which hold until the next refresh.
         """
         self._rates_dirty = False
         self._generation += 1
         now = self.now_ms
-        have_faults = self.fault_plan is not None
+        check_stalls = now < self._stall_horizon
         earliest = _INF
         earliest_rid = -1
         for members, cores, speed in zip(
@@ -935,7 +978,7 @@ class Engine:
                 request.share_factor = factor
                 request.share_cores = request.degree_demand * factor
                 rate = request.degree_speedup * factor * speed
-                if have_faults and request.is_stalled(now):
+                if check_stalls and request.is_stalled(now):
                     # An injected worker stall: the request's threads keep
                     # their cores (hung workers occupy, not yield) but
                     # retire no work until the stall expires.
@@ -946,6 +989,13 @@ class Engine:
                     if eta < earliest:
                         earliest = eta
                         earliest_rid = request.rid
+        busy_cores = 0.0
+        total_threads = 0
+        for request in self._running.values():
+            busy_cores += request.share_cores
+            total_threads += request.degree
+        self._busy_cores = busy_cores
+        self._total_threads = total_threads
         if earliest < _INF:
             self._queue.push(
                 max(earliest, now),

@@ -175,31 +175,36 @@ class MetricsCollector:
         )
 
     def record(self, request: SimRequest) -> None:
-        """Snapshot a completed request."""
+        """Snapshot a completed request.
+
+        The frozen record's instance dict is filled directly, in field
+        order: the dataclass ``__init__`` would pay one
+        ``object.__setattr__`` per field on every completion.
+        """
         if request.start_ms is None or request.finish_ms is None:
             raise SimulationError(f"request {request.rid} not finished")
-        self.records.append(
-            RequestRecord(
-                rid=request.rid,
-                arrival_ms=request.arrival_ms,
-                start_ms=request.start_ms,
-                finish_ms=request.finish_ms,
-                seq_ms=request.seq_ms,
-                final_degree=request.degree,
-                average_parallelism=request.average_parallelism,
-                thread_time_ms=request.thread_time_ms,
-                core_time_ms=request.core_time_ms,
-                boosted=request.boosted,
-                service_ms=request.attr_service_ms,
-                contention_ms=request.attr_contention_ms,
-                boost_wait_ms=request.attr_boost_wait_ms,
-                stall_ms=request.attr_stall_ms,
-                pool=request.pool,
-                energy_j=request.energy_mj / 1000.0,
-                migrations=request.migrations,
-                tag=request.tag,
-            )
+        record = object.__new__(RequestRecord)
+        record.__dict__.update(
+            rid=request.rid,
+            arrival_ms=request.arrival_ms,
+            start_ms=request.start_ms,
+            finish_ms=request.finish_ms,
+            seq_ms=request.seq_ms,
+            final_degree=request.degree,
+            average_parallelism=request.average_parallelism,
+            thread_time_ms=request.thread_time_ms,
+            core_time_ms=request.core_time_ms,
+            boosted=request.boosted,
+            service_ms=request.attr_service_ms,
+            contention_ms=request.attr_contention_ms,
+            boost_wait_ms=request.attr_boost_wait_ms,
+            stall_ms=request.attr_stall_ms,
+            pool=request.pool,
+            energy_j=request.energy_mj / 1000.0,
+            migrations=request.migrations,
+            tag=request.tag,
         )
+        self.records.append(record)
         if request.impaired:
             self.fault_stats.degraded_completions += 1
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cluster.adaptive import (
@@ -304,3 +305,26 @@ class TestTelemetry:
         )
         assert gauges["cluster.adaptive.hedge_budget"].value == 0.0
         assert gauges["cluster.adaptive.utilization"].value > 0.9
+
+
+class TestDecisionQuantiles:
+    """Hedge delay and retry timeout come from one ``np.quantile`` call
+    over the latency buffer; each must equal its own single call."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 100, 511, 512, 513, 600])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_call_matches_separate_calls(self, size, seed):
+        controller = _controller(
+            hedge_percentile={"eager": 0.8, "steady": 0.8}, window_ms=1e6
+        )
+        latencies = np.random.default_rng([seed, size]).lognormal(2.0, 0.6, size)
+        for i, latency in enumerate(latencies):
+            controller.observe(float(latency), at_ms=float(i))
+        controller.flush(2e6)
+        decision = controller.decision
+        assert controller.mode in ("eager", "steady")
+        window = latencies[-controller.config.latency_buffer:]
+        assert decision.hedge_delay_ms == float(np.quantile(window, 0.8))
+        assert decision.retry.timeout_ms == max(
+            controller.config.retry_timeout_floor_ms, float(np.quantile(window, 0.95))
+        )

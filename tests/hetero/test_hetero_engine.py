@@ -22,11 +22,11 @@ import pytest
 from repro.errors import SimulationError
 from repro.faults import overload_flip
 from repro.faults.plan import FaultPlan
-from repro.hetero import Topology
+from repro.hetero import CorePool, Topology
 from repro.schedulers import FixedScheduler, FMScheduler, HurryUpScheduler
 from repro.sim import Engine, simulate
 from repro.sim._baseline import simulate_baseline
-from repro.sim.api import Admission, Scheduler
+from repro.sim.api import Admission, Scheduler, SchedulerContext
 from tests.sim.test_engine import _arrivals
 from tests.sim.test_engine_equivalence import (
     _SCHEDULER_FACTORIES,
@@ -217,6 +217,28 @@ class TestDefaultPlacement:
         )
         pools = {record.pool for record in result.records}
         assert pools == {0, 1}
+
+
+class TestContextPoolExtremes:
+    """The engine resolves the fastest/slowest pool once; the context
+    must agree with the topology's own first-wins-ties properties."""
+
+    @pytest.mark.parametrize(
+        "speeds", [(1.0, 2.0, 2.0, 1.0), (2.0, 2.0), (1.0, 3.0, 0.5, 0.5, 3.0)]
+    )
+    def test_tied_topology(self, speeds):
+        topo = Topology(
+            [CorePool(f"p{i}", count=2, speed=speed) for i, speed in enumerate(speeds)]
+        )
+        engine = Engine(cores=topo.total_cores, scheduler=FixedScheduler(1), topology=topo)
+        ctx = SchedulerContext(engine)
+        assert ctx.fastest_pool == topo.fastest_pool
+        assert ctx.slowest_pool == topo.slowest_pool
+        assert ctx.pool_count == len(speeds)
+
+    def test_no_topology_is_pool_zero(self):
+        ctx = SchedulerContext(Engine(cores=4, scheduler=FixedScheduler(1)))
+        assert (ctx.fastest_pool, ctx.slowest_pool) == (0, 0)
 
 
 class _MigrateOnceScheduler(Scheduler):

@@ -19,6 +19,7 @@ from repro.schedulers import (
     SequentialScheduler,
     SimpleIntervalScheduler,
 )
+from repro.sim.api import Admission, AdmissionAction
 from repro.sim.engine import ArrivalSpec, Engine, simulate
 
 _CURVE = TabulatedSpeedup([1.0, 1.5, 2.0, 2.4])
@@ -223,6 +224,28 @@ class TestAdmissionControl:
         result = simulate(specs, FMScheduler(table), cores=4)
         b = [r for r in result.records if r.rid == 1][0]
         assert b.start_ms == pytest.approx(20.0)
+
+
+class TestSharedAdmissions:
+    """Admissions are immutable, so the common decisions are shared
+    instances rather than one allocation per decision."""
+
+    def test_start_and_wait_for_exit_are_shared(self):
+        assert Admission.start(3) is Admission.start(3)
+        assert Admission.start(2, pool=1) is Admission.start(2, pool=1)
+        assert Admission.start(2, pool=1) is not Admission.start(2)
+        assert Admission.wait_for_exit() is Admission.wait_for_exit()
+        decision = Admission.start(4, pool=0)
+        assert (decision.action, decision.degree, decision.pool) == (
+            AdmissionAction.START, 4, 0,
+        )
+        assert Admission.wait_for_exit() == Admission(AdmissionAction.WAIT_FOR_EXIT)
+
+    def test_numpy_degree_is_not_shared(self):
+        """A numpy integer degree is never cached, so its type cannot
+        leak into later plain-int callers."""
+        assert Admission.start(np.int64(97)).degree == 97
+        assert type(Admission.start(97).degree) is int
 
 
 class TestEngineValidation:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CoreFault, FaultPlan, StallFault
 from repro.schedulers import (
     AdaptiveScheduler,
     FixedScheduler,
@@ -172,6 +172,73 @@ class TestBitIdentityWithBaseline:
         _assert_identical(result, reference)
         assert len(ours.residency) == 300
         assert ours.residency == theirs.residency
+
+
+class TestFaultFastPathsMatchBaseline:
+    """Cells for the stall horizon (the per-request stall check only runs
+    before the latest injected stall end) and the blocked straggler
+    draws: each compares raw floats with ``==`` against the baseline."""
+
+    _BACK_TO_BACK = (StallFault(1000.0, 50.0), StallFault(1050.0, 50.0),
+                     StallFault(1100.0, 50.0))
+    _OVERLAPPING = (StallFault(2000.0, 300.0), StallFault(2100.0, 40.0),
+                    StallFault(2120.0, 600.0))
+
+    @staticmethod
+    def _arrivals(seed):
+        """A Poisson trace plus bursts of long requests just before the
+        stalls, so every stall finds unstalled victims."""
+        bursts = [(t0 + i, 150.0) for t0 in (990.0, 1990.0) for i in range(8)]
+        return _sweep_arrivals(40.0, 200, seed=seed) + _arrivals(bursts)
+
+    @staticmethod
+    def _check(arrivals, policy, plan, cores=6):
+        factory = _SCHEDULER_FACTORIES[policy]
+        result = simulate(arrivals, factory(), cores=cores, fault_plan=plan)
+        reference = simulate_baseline(arrivals, factory(), cores=cores, fault_plan=plan)
+        _assert_identical(result, reference)
+        return result
+
+    @pytest.mark.parametrize("policy", ["seq", "fm", "fix4-protected"])
+    @pytest.mark.parametrize("stalls", ["back_to_back", "overlapping"])
+    def test_stall_patterns(self, policy, stalls):
+        plan = FaultPlan(stalls=getattr(self, f"_{stalls.upper()}"))
+        result = self._check(self._arrivals(17), policy, plan)
+        assert result.fault_stats.stalls_injected == 3
+
+    @pytest.mark.parametrize("policy", ["seq", "fm"])
+    def test_victim_finishes_mid_stall(self, policy):
+        """A short-stalled request finishes while a longer stall on
+        another request is still live (the horizon is still ahead)."""
+        specs = [(0.0, 400.0)] + [(1.0 + i, 30.0) for i in range(4)]
+        specs += [(600.0 + 5.0 * i, 20.0) for i in range(6)]
+        plan = FaultPlan(stalls=(StallFault(10.0, 300.0), StallFault(20.0, 5.0)))
+        result = self._check(_arrivals(specs), policy, plan, cores=4)
+        assert result.fault_stats.stalls_injected == 2
+        short_victims = [r for r in result.records if 0.0 < r.stall_ms < 300.0]
+        assert len(short_victims) == 1
+        assert 25.0 < short_victims[0].finish_ms < 310.0
+
+    @pytest.mark.parametrize("policy", ["fm", "fix4-protected"])
+    def test_stalls_stragglers_and_core_loss(self, policy):
+        plan = FaultPlan(
+            core_faults=(CoreFault(900.0, 400.0, 2), CoreFault(1050.0, 100.0)),
+            stalls=self._BACK_TO_BACK + self._OVERLAPPING,
+            straggler_rate=0.15,
+            straggler_mu=0.7,
+            seed=23,
+        )
+        result = self._check(self._arrivals(29), policy, plan)
+        stats = result.fault_stats
+        assert stats.stragglers_injected > 0
+        assert stats.stalls_injected == 6
+        assert stats.core_faults_applied == 2
+
+    def test_stragglers_across_draw_blocks(self):
+        """More requests than one block of straggler draws."""
+        plan = FaultPlan(straggler_rate=0.08, straggler_mu=1.0, straggler_sigma=0.4, seed=41)
+        result = self._check(_sweep_arrivals(20.0, 2100, seed=43), "seq", plan)
+        assert result.fault_stats.stragglers_injected > 100
 
 
 class TestEngineReentrancy:

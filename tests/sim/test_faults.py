@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.speedup import TabulatedSpeedup
 from repro.core.table import IntervalTable
 from repro.errors import FaultInjectionError
 from repro.faults import CoreFault, FaultPlan, StallFault
+from repro.faults.plan import _first_uniforms
 from repro.schedulers import FixedScheduler, FMScheduler, SequentialScheduler
 from repro.sim.engine import ArrivalSpec, simulate
 from repro.workloads.arrivals import PoissonProcess
@@ -51,6 +54,30 @@ class TestPlanValidation:
         with pytest.raises(FaultInjectionError):
             FaultPlan.generate(seed=0, horizon_ms=100.0, stall_rate_hz=-1.0)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None, True])
+    def test_bad_seed(self, seed):
+        # A negative seed used to build fine and die at the first
+        # arrival with numpy's bare ValueError.
+        with pytest.raises(FaultInjectionError, match="seed"):
+            FaultPlan(seed=seed, straggler_rate=0.1)
+        with pytest.raises(FaultInjectionError, match="seed"):
+            FaultPlan.generate(seed=seed, horizon_ms=100.0, stall_rate_hz=1.0)
+
+    @pytest.mark.parametrize("param", ["straggler_mu", "straggler_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lognormal_parameter(self, param, value):
+        # NaN factors silently disabled every straggler; an infinite mu
+        # ended in a misleading "never completed (deadlock?)" error.
+        with pytest.raises(FaultInjectionError, match=param):
+            FaultPlan(straggler_rate=0.1, **{param: value})
+        with pytest.raises(FaultInjectionError, match=param):
+            FaultPlan.generate(seed=0, horizon_ms=100.0, **{param: value})
+
+    def test_numpy_integer_seed_is_normalized(self):
+        plan = FaultPlan(seed=np.int64(5), straggler_rate=0.5)
+        assert type(plan.seed) is int
+        assert plan == FaultPlan(seed=5, straggler_rate=0.5)
+
 
 class TestStragglerDraws:
     def test_zero_rate_never_inflates(self):
@@ -73,6 +100,45 @@ class TestStragglerDraws:
         a = [FaultPlan(straggler_rate=0.5, seed=1).straggler_inflation(r) for r in range(50)]
         b = [FaultPlan(straggler_rate=0.5, seed=2).straggler_inflation(r) for r in range(50)]
         assert a != b
+
+
+class TestStragglerBlocks:
+    """``straggler_inflations`` recomputes numpy's SeedSequence/PCG64
+    stream for a block of rids; it must equal the scalar definition
+    element for element."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 3])
+    @pytest.mark.parametrize("rate", [0.0, 0.08, 1.0])
+    def test_matches_scalar_definition(self, seed, rate):
+        plan = FaultPlan(straggler_rate=rate, straggler_mu=0.6, seed=seed)
+        # Ranges straddling the engine's 1024-rid block boundaries.
+        for start, stop in ((0, 40), (1000, 1050), (2040, 2060)):
+            assert plan.straggler_inflations(start, stop) == [
+                plan.straggler_inflation(rid) for rid in range(start, stop)
+            ]
+
+    def test_coins_match_numpy_generator(self):
+        # Seeds of one to five 32-bit words, so the SeedSequence pool
+        # both pads (short entropy) and absorbs extra words (long).
+        for seed in (0, 3141592653, 12345678901234, 2**96 + 11, 2**130 + 9):
+            assert _first_uniforms(seed, 500, 700) == [
+                np.random.default_rng([seed, rid]).random() for rid in range(500, 700)
+            ]
+
+    def test_rids_past_32_bits(self):
+        plan = FaultPlan(straggler_rate=0.3, seed=7)
+        start, stop = 2**32 - 3, 2**32 + 3
+        assert plan.straggler_inflations(start, stop) == [
+            plan.straggler_inflation(rid) for rid in range(start, stop)
+        ]
+
+    def test_empty_and_bad_ranges(self):
+        plan = FaultPlan(straggler_rate=0.3, seed=7)
+        assert plan.straggler_inflations(5, 5) == []
+        with pytest.raises(FaultInjectionError):
+            plan.straggler_inflations(5, 4)
+        with pytest.raises(FaultInjectionError):
+            plan.straggler_inflations(-1, 4)
 
 
 class TestGenerate:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.speedup import TabulatedSpeedup
@@ -53,6 +56,33 @@ class TestCollector:
         result = collector.finalize()
         assert len(result) == 1
         assert result.records[0].latency_ms == pytest.approx(60.0)
+
+    def test_collected_record_is_a_plain_frozen_record(self):
+        """The collector fills the record's instance dict directly; the
+        result must be indistinguishable from a constructor-built one."""
+        collector = MetricsCollector(cores=4)
+        req = SimRequest(3, 0.0, 50.0, _CURVE, tag="q3")
+        req.start(10.0, 2)
+        req.rate = 1.0
+        req.advance(50.0, 1.0)
+        req.finish(60.0)
+        collector.record(req)
+        (record,) = collector.records
+        built = RequestRecord(
+            rid=3, arrival_ms=0.0, start_ms=10.0, finish_ms=60.0, seq_ms=50.0,
+            final_degree=2, average_parallelism=req.average_parallelism,
+            thread_time_ms=req.thread_time_ms, core_time_ms=req.core_time_ms,
+            boosted=False, service_ms=req.attr_service_ms,
+            contention_ms=req.attr_contention_ms, tag="q3",
+        )
+        assert record == built
+        assert hash(record) == hash(built)
+        assert repr(record) == repr(built)
+        assert vars(record) == vars(built)
+        assert list(vars(record)) == list(vars(built))  # field order too
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.finish_ms = 0.0
+        assert pickle.loads(pickle.dumps(record)) == built
 
     def test_rejects_unfinished(self):
         collector = MetricsCollector(cores=4)

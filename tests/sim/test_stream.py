@@ -11,10 +11,14 @@ from repro.errors import SimulationError
 from repro.experiments.runner import latency_histogram
 from repro.faults.plan import FaultPlan
 from repro.schedulers import FixedScheduler, FMScheduler, SequentialScheduler
-from repro.sim import simulate, simulate_stream
+from repro.sim import Engine, simulate, simulate_stream
 from repro.sim.stream import StreamingCollector, StreamSummary
 from repro.workloads.arrivals import PoissonProcess
-from tests.sim.test_engine_equivalence import _SCHEDULER_FACTORIES, _sweep_arrivals
+from tests.sim.test_engine_equivalence import (
+    _SCHEDULER_FACTORIES,
+    _assert_identical,
+    _sweep_arrivals,
+)
 from tests.workloads.test_streaming import _workload
 
 
@@ -69,6 +73,20 @@ class TestStreamEqualsBatch:
         # injection counters come from the shared fault plan machinery.
         assert got["degraded_completions"] == want["degraded_completions"]
         assert got["shed_requests"] == want["shed_requests"]
+
+    @pytest.mark.parametrize("policy", ["seq", "fm"])
+    def test_streamed_records_identical_with_stragglers(self, policy):
+        """A streamed run draws its straggler inflations in growing
+        blocks, a materialized one in blocks of every known request:
+        both must inflate the same requests by the same factors.  Run
+        past one full block so both paths cross block boundaries."""
+        arrivals = _sweep_arrivals(20.0, 1500, seed=61)
+        plan = FaultPlan(straggler_rate=0.1, straggler_mu=0.7, seed=67)
+        factory = _SCHEDULER_FACTORIES[policy]
+        batch = simulate(arrivals, factory(), cores=6, fault_plan=plan)
+        streamed = Engine(cores=6, scheduler=factory(), fault_plan=plan).run(iter(arrivals))
+        _assert_identical(streamed, batch)
+        assert streamed.fault_stats.stragglers_injected > 100
 
     def test_shedding_summarized(self):
         from tests.sim.test_engine_equivalence import _interval_table
