@@ -20,24 +20,21 @@ Four sections, two purposes (DESIGN.md §15):
 * ``throughput`` (same-machine trajectory): ``diff_runs`` calls per
   second on realistic entries, and ledger append+get round-trips per
   second.  Gated with a wide cross-run band by
-  ``check_diff_regression.py``.
+  ``check_regression.py``.
 
-Usage::
+Run through the harness::
 
-    PYTHONPATH=src python benchmarks/bench_diff.py [--scale quick]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only diff
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only diff
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import tempfile
-import time
 from pathlib import Path
 
-from repro.experiments.config import FULL, QUICK, TINY, Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.runner import run_sweep
 from repro.experiments.tables import lucene_table
 from repro.observe.diff import diff_runs
@@ -45,8 +42,8 @@ from repro.observe.ledger import RunEntry, RunLedger, entry_from_result
 from repro.schedulers import FixedScheduler, FMScheduler
 from repro.workloads import lucene as lucene_mod
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TIMING_REPEATS = 3
+from run_all import TIMING_REPEATS, best_of
+
 
 #: The attestation runs are fixed-size (the statistical-power claims
 #: depend on sample count, so scaling them with --scale would move the
@@ -54,16 +51,6 @@ TIMING_REPEATS = 3
 ATTEST_REQUESTS = 500
 ATTEST_RPS = 45.0
 ATTEST_SEED = 4100
-
-
-def best_of(fn, repeats: int = TIMING_REPEATS) -> float:
-    """Best wall time over ``repeats`` calls (sheds scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _attest_entries(workers: int = 1) -> dict[str, RunEntry]:
@@ -189,22 +176,16 @@ def bench_throughput(entries: dict[str, RunEntry]) -> dict:
 
 def build_report(scale: Scale) -> dict:
     """The full ``BENCH_diff.json`` payload."""
-    from repro.observe.ledger import config_fingerprint
-
     entries = _attest_entries()
-    null_test = bench_null_test(entries)
-    versus = bench_versus(entries)
-    determinism = bench_determinism(entries)
-    throughput = bench_throughput(entries)
-    report = {
+    return {
         "benchmark": "diff",
         "scale": scale.name,
         "python": platform.python_version(),
         "timing_repeats": TIMING_REPEATS,
-        "null_test": null_test,
-        "versus": versus,
-        "determinism": determinism,
-        "throughput": throughput,
+        "null_test": bench_null_test(entries),
+        "versus": bench_versus(entries),
+        "determinism": bench_determinism(entries),
+        "throughput": bench_throughput(entries),
         "notes": (
             "null_test, versus, and determinism are seeded and "
             "hardware-independent: the self-diff must be an exact null, "
@@ -215,66 +196,6 @@ def build_report(scale: Scale) -> dict:
             "DESIGN.md §15), and diffs must be byte-identical across "
             "repeats and --workers counts. throughput is the "
             "same-machine trajectory gated with a wide band by "
-            "check_diff_regression.py."
+            "check_regression.py."
         ),
     }
-    # The embedded run-over-run entry (consumed by
-    # gatelib.compare_to_baseline): the report's own scalars as a
-    # metrics-only ledger entry.
-    metrics = {
-        "diffs_per_s": throughput["diffs_per_s"],
-        "ledger_roundtrips_per_s": throughput["ledger_roundtrips_per_s"],
-        "entry_bytes": throughput["entry_bytes"],
-        "p99_delta_ms": versus["p99_delta_ms"],
-        "top_phase_share": versus["top_phase_share"],
-    }
-    config = {"benchmark": "diff", "scale": scale.name}
-    report["ledger"] = {
-        "run_id": "",
-        "card": {
-            "name": "bench:diff",
-            "fingerprint": config_fingerprint(config),
-            "seed": ATTEST_SEED,
-            "scheduler": "",
-            "workload": "",
-            "scale": scale.name,
-            "config": config,
-            "git_rev": "",
-            "created_s": 0.0,
-        },
-        "artifacts": {
-            "histograms": {},
-            "attribution": {},
-            "metrics": metrics,
-            "energy": {},
-            "events": [],
-        },
-    }
-    return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--scale", choices=["tiny", "quick", "full"], default=None,
-        help="fidelity preset (default: $REPRO_SCALE or 'quick')",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_diff.json",
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    scale = (
-        {"tiny": TINY, "quick": QUICK, "full": FULL}[args.scale]
-        if args.scale
-        else default_scale()
-    )
-    report = build_report(scale)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -10,7 +10,7 @@ Four sections, two purposes:
   records, per load point, whether EA-FM strictly dominates FIX-3
   (lower p99 AND fewer joules/query).  Seeded, so the dominated-point
   count is *hardware-independent*; the regression gate
-  (``check_hetero_regression.py``) pins it ``>= 1``.
+  (``check_regression.py``) pins it ``>= 1``.
 * ``determinism`` runs the same sweep serially and across 2 worker
   processes and attests identical tails and energy bills.
 * ``engine_throughput`` times a saturated big/little run (events/sec,
@@ -18,23 +18,18 @@ Four sections, two purposes:
   machinery: the same trace and FM policy on a single-pool topology vs
   no topology (same schedule, so the difference is pure bookkeeping).
 
-Usage::
+Run through the harness::
 
-    PYTHONPATH=src python benchmarks/bench_hetero.py [--scale quick]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only hetero
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only hetero
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import platform
-import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.config import FULL, QUICK, TINY, Scale, default_scale
+from repro.experiments.config import Scale
 from repro.experiments.hetero_energy import (
     RPS_SWEEP,
     big_little_topology,
@@ -50,18 +45,8 @@ from repro.sim.engine import Engine, simulate
 from repro.workloads import bing as bing_mod
 from repro.workloads.arrivals import PoissonProcess
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TIMING_REPEATS = 3
+from run_all import TIMING_REPEATS, best_of
 
-
-def best_of(fn, repeats: int = TIMING_REPEATS) -> float:
-    """Best wall time over ``repeats`` calls (sheds scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _arrivals(scale: Scale, rps: float, seed: int):
@@ -224,7 +209,7 @@ def build_report(scale: Scale) -> dict:
             "bit_identity, frontier, and determinism are fully seeded "
             "simulations: their attestations and the dominated-point "
             "count are hardware-independent and gated by "
-            "check_hetero_regression.py (single-pool runs must stay "
+            "check_regression.py (single-pool runs must stay "
             "bit-identical to repro.sim._baseline; EA-FM must dominate "
             "FIX-3 at >= 1 big/little load point; worker counts must "
             "not change results). engine_throughput varies with "
@@ -236,31 +221,3 @@ def build_report(scale: Scale) -> dict:
             "time, so within host noise of zero)."
         ),
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--scale", choices=["tiny", "quick", "full"], default=None,
-        help="fidelity preset (default: $REPRO_SCALE or 'quick')",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_hetero.json",
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    if args.scale:
-        scale = {"tiny": TINY, "quick": QUICK, "full": FULL}[args.scale]
-    else:
-        scale = default_scale()
-
-    print(f"running hetero benches at scale={scale.name} ...")
-    report = build_report(scale)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

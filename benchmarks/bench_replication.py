@@ -11,29 +11,24 @@ Four sections, two purposes:
 * ``phase_diagram`` re-runs the ``replication-phase`` sweep and records
   the adaptive-vs-best-static p99 ratio per load point.  Simulation is
   seeded, so these ratios are *hardware-independent* — the regression
-  gate (``check_replication_regression.py``) pins them ``<= 1.10``.
+  gate (``check_regression.py``) pins them ``<= 1.10``.
 * ``flip`` replays the deterministic overload→underload scenario twice
   and attests that both runs produced bit-identical mode-transition
   signatures (and at least one brownout).
 
-Usage::
+Run through the harness::
 
-    PYTHONPATH=src python benchmarks/bench_replication.py [--scale quick]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only replication
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only replication
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import platform
-import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.cluster.adaptive import AdaptiveReplicationController, ControllerConfig
-from repro.experiments.config import FULL, QUICK, TINY, Scale, default_scale
+from repro.experiments.config import Scale
 from repro.experiments.replication_phase import (
     RHO_SWEEP,
     SATURATION_RPS,
@@ -45,20 +40,10 @@ from repro.experiments.replication_phase import (
 from repro.faults.scenarios import overload_flip
 from repro.workloads import bing as bing_mod
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TIMING_REPEATS = 3
+from run_all import TIMING_REPEATS, best_of
+
 #: Synthetic completions pushed through ``observe`` per timing run.
 OBSERVE_STREAM = 100_000
-
-
-def best_of(fn, repeats: int = TIMING_REPEATS) -> float:
-    """Best wall time over ``repeats`` calls (sheds scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def bench_observe_path() -> dict:
@@ -190,38 +175,10 @@ def build_report(scale: Scale) -> dict:
             "AdaptiveReplicationController.observe. phase_diagram and flip "
             "are fully seeded simulations: their ratios and attestations "
             "are hardware-independent and gated by "
-            "check_replication_regression.py (adaptive p99 must stay "
+            "check_regression.py (adaptive p99 must stay "
             "within 10% of the best static policy at every load point, "
             "and the flip replay must be bit-identical with >= 1 "
             "brownout). controller_overhead and observations_per_s vary "
             "with hardware; the gate gives them a wide band."
         ),
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--scale", choices=["tiny", "quick", "full"], default=None,
-        help="fidelity preset (default: $REPRO_SCALE or 'quick')",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_replication.json",
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    if args.scale:
-        scale = {"tiny": TINY, "quick": QUICK, "full": FULL}[args.scale]
-    else:
-        scale = default_scale()
-
-    print(f"running replication benches at scale={scale.name} ...")
-    report = build_report(scale)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

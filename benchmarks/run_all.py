@@ -1,56 +1,36 @@
-"""Perf trajectory benches -> BENCH_telemetry / BENCH_observe / BENCH_engine.
+"""Perf trajectory benches -> one ``BENCH_<section>.json`` per section.
 
-Runs the simulator, search-executor, and cluster benches twice each —
-telemetry explicitly disabled vs enabled — plus microbenchmarks of the
-telemetry primitives themselves, and writes the headline numbers
-(events/sec, p50/p99, overhead %) to ``BENCH_telemetry.json`` at the
-repo root so future PRs have a baseline to regress against.
+Sections (``--list``), each a builder returning one JSON report:
 
-Also writes ``BENCH_observe.json`` for the observability layer (trace
-analyzer throughput, attribution flight-recorder overhead) and
-``BENCH_engine.json`` for the engine hot path: single-process
-events/sec on a saturated run, an A/B against the frozen reference
-engine in ``repro.sim._baseline`` (which must be *bit-identical*, not
-just close), and serial-vs-parallel sweep wall clock at 4 workers.
-
-``--only replication`` (also in ``--only all``) delegates to
-``bench_replication.py`` and writes ``BENCH_replication.json``: the
-adaptive-controller observe-path throughput, controller-vs-static
-overhead, the seeded adaptive-vs-best-static phase-diagram ratios, and
-the deterministic flip-replay attestation (gated by
-``check_replication_regression.py``).
-
-``--only hetero`` (also in ``--only all``) delegates to
-``bench_hetero.py`` and writes ``BENCH_hetero.json``: the single-pool
-bit-identity attestation against ``repro.sim._baseline``, the EA-FM
-vs FIX-3 latency-energy frontier on big/little cores, the
-worker-count determinism attestation, and the hetero engine's
-events/sec (gated by ``check_hetero_regression.py``).
-
-``--only diff`` (also in ``--only all``) delegates to
-``bench_diff.py`` and writes ``BENCH_diff.json``: the self-diff exact
-null, the FM-vs-FIX-3 significance + explanation-ranking attestation,
-diff determinism across repeats and ``--workers``, and diff/ledger
-throughput (gated by ``check_diff_regression.py``).
+* ``engine``: single-process events/sec on a saturated run, an A/B
+  against the frozen reference engine in ``repro.sim._baseline`` (which
+  must be *bit-identical*, not just close), serial-vs-parallel sweep
+  wall clock at 4 workers, and the mega-sweep machinery (DESIGN.md §14).
+* ``replication`` (``bench_replication.py``): the adaptive controller's
+  observe-path throughput, the seeded adaptive-vs-best-static phase
+  diagram and the deterministic flip replay.
+* ``hetero`` (``bench_hetero.py``): single-pool bit identity, the EA-FM
+  vs FIX-3 latency-energy frontier on big/little cores, worker-count
+  determinism and the hetero engine's events/sec.
+* ``telemetry``: simulator, search-executor and cluster runs with
+  telemetry disabled vs enabled, plus the telemetry primitives.  Its
+  acceptance bound is a <3% simulator slowdown with telemetry disabled.
+* ``observe``: trace-analyzer throughput, the attribution flight
+  recorder's cost, the live plane's cost and the seeded live-tail
+  attestations.
+* ``diff`` (``bench_diff.py``): the self-diff exact null, the FM-vs-FIX-3
+  significance and explanation ranking, diff determinism across repeats
+  and ``--workers``, and diff/ledger throughput.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--scale quick] [--output PATH]
-    PYTHONPATH=src python benchmarks/run_all.py --quick --only engine,diff
+    PYTHONPATH=src python benchmarks/run_all.py [--scale quick] [--out-dir DIR]
+    PYTHONPATH=src python benchmarks/run_all.py --scale quick --only engine,diff
     PYTHONPATH=src python benchmarks/run_all.py --list
-    PYTHONPATH=src python benchmarks/run_all.py --quick --ledger runs
 
-``--only`` takes a comma-separated subset of the sections shown by
-``--list``.  Every section report embeds a ``"ledger"`` entry — a
-``repro.observe.ledger.RunEntry`` whose metrics are the report's
-numeric scalars — so committed ``BENCH_*`` baselines are diffable run
-over run (``gatelib.compare_to_baseline``, DESIGN.md §15); ``--ledger
-DIR`` additionally appends each section's entry to that run ledger.
-
-The acceptance bound for the telemetry trajectory is a <3% simulator
-slowdown with telemetry disabled; for the engine trajectory, >= 25%
-events/sec regressions vs the committed ``BENCH_engine.json`` fail CI
-(see ``benchmarks/check_engine_regression.py``).
+``--out-dir`` defaults to the repo root, i.e. it refreshes the committed
+baselines.  ``benchmarks/check_regression.py`` gates fresh reports
+against those baselines; its ``CHECKS`` table lists every bound.
 """
 
 from __future__ import annotations
@@ -723,23 +703,20 @@ def build_engine_report(scale: Scale) -> dict:
 
 
 def build_replication_report(scale: Scale) -> dict:
-    # Local import: the module reuses the replication-phase experiment
-    # helpers, which nothing else here needs.
+    # Local imports: the section modules reuse experiment helpers that
+    # nothing else here needs.
     from bench_replication import build_report
 
     return build_report(scale)
 
 
 def build_hetero_report(scale: Scale) -> dict:
-    # Local import: the module reuses the hetero-energy experiment
-    # helpers, which nothing else here needs.
     from bench_hetero import build_report
 
     return build_report(scale)
 
 
 def build_diff_report(scale: Scale) -> dict:
-    # Local import: the module reuses the run-diff experiment helpers.
     from bench_diff import build_report
 
     return build_report(scale)
@@ -784,70 +761,20 @@ def build_observe_report(scale: Scale) -> dict:
             "raw TimeseriesRecorder.snapshot primitive. live_tail is "
             "seeded and hardware-independent: the overload-flip onset "
             "signature and the replay-vs-analyze attribution "
-            "equivalence, both gated by check_observe_regression.py."
+            "equivalence, both gated by check_regression.py."
         ),
     }
 
 
-#: The bench sections, in ``--only all`` execution order.  Each maps to
-#: (description, args attribute holding the output path, builder).
+#: The bench sections, in ``--only all`` execution order.
 SECTIONS = {
-    "engine": ("engine hot path + mega-sweep machinery", "engine_output", build_engine_report),
-    "replication": ("adaptive replication controller", "replication_output", build_replication_report),
-    "hetero": ("big/little pools + energy accounting", "hetero_output", build_hetero_report),
-    "telemetry": ("telemetry on/off overhead + primitives", "output", build_telemetry_report),
-    "observe": ("trace analyzer, flight recorder, live plane", "observe_output", build_observe_report),
-    "diff": ("run ledger + repro diff attestations", "diff_output", build_diff_report),
+    "engine": ("engine hot path + mega-sweep machinery", build_engine_report),
+    "replication": ("adaptive replication controller", build_replication_report),
+    "hetero": ("big/little pools + energy accounting", build_hetero_report),
+    "telemetry": ("telemetry on/off overhead + primitives", build_telemetry_report),
+    "observe": ("trace analyzer, flight recorder, live plane", build_observe_report),
+    "diff": ("run ledger + repro diff attestations", build_diff_report),
 }
-
-
-def embed_ledger_entry(report: dict, section: str) -> None:
-    """Attach the run-over-run ``"ledger"`` entry (DESIGN.md §15).
-
-    The entry's metrics are the report's numeric scalars flattened to
-    dotted paths (booleans as 0/1, so attestation flips surface as
-    deltas); sections that curate their own entry are left alone.
-    """
-    if "ledger" in report:
-        return
-    import math
-
-    from repro.observe.ledger import config_fingerprint
-
-    metrics: dict[str, float] = {}
-
-    def walk(node, prefix: str) -> None:
-        if isinstance(node, dict):
-            for key, value in node.items():
-                walk(value, f"{prefix}{key}.")
-        elif isinstance(node, bool):
-            metrics[prefix[:-1]] = 1.0 if node else 0.0
-        elif isinstance(node, (int, float)) and math.isfinite(node):
-            metrics[prefix[:-1]] = float(node)
-
-    walk(report, "")
-    config = {"benchmark": section, "scale": report.get("scale", "")}
-    report["ledger"] = {
-        "run_id": "",
-        "card": {
-            "name": f"bench:{section}",
-            "fingerprint": config_fingerprint(config),
-            "seed": 0,
-            "scheduler": "",
-            "workload": "",
-            "scale": report.get("scale", ""),
-            "config": config,
-            "git_rev": "",
-            "created_s": 0.0,
-        },
-        "artifacts": {
-            "histograms": {},
-            "attribution": {},
-            "metrics": metrics,
-            "energy": {},
-            "events": [],
-        },
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -857,37 +784,8 @@ def main(argv: list[str] | None = None) -> int:
         help="fidelity preset (default: $REPRO_SCALE or 'quick')",
     )
     parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_telemetry.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--observe-output", type=Path,
-        default=REPO_ROOT / "BENCH_observe.json",
-        help="where to write the observe-layer JSON report",
-    )
-    parser.add_argument(
-        "--engine-output", type=Path,
-        default=REPO_ROOT / "BENCH_engine.json",
-        help="where to write the engine hot-path JSON report",
-    )
-    parser.add_argument(
-        "--replication-output", type=Path,
-        default=REPO_ROOT / "BENCH_replication.json",
-        help="where to write the replication-controller JSON report",
-    )
-    parser.add_argument(
-        "--hetero-output", type=Path,
-        default=REPO_ROOT / "BENCH_hetero.json",
-        help="where to write the heterogeneous-engine JSON report",
-    )
-    parser.add_argument(
-        "--diff-output", type=Path,
-        default=REPO_ROOT / "BENCH_diff.json",
-        help="where to write the diff-engine JSON report",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="shorthand for --scale quick (the CI perf-smoke preset)",
+        "--out-dir", type=Path, default=REPO_ROOT,
+        help="directory for the BENCH_<section>.json reports (default: repo root)",
     )
     parser.add_argument(
         "--only",
@@ -901,20 +799,11 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true",
         help="list the bench sections and exit",
     )
-    parser.add_argument(
-        "--ledger", type=Path, default=None, metavar="DIR",
-        help="append each section's run entry to this run ledger",
-    )
     args = parser.parse_args(argv)
     if args.list:
-        for name, (description, output_attr, _) in SECTIONS.items():
-            default = parser.get_default(output_attr)
-            print(f"{name:12s} {description} -> {Path(default).name}")
+        for name, (description, _) in SECTIONS.items():
+            print(f"{name:12s} {description} -> BENCH_{name}.json")
         return 0
-    if args.quick and args.scale and args.scale != "quick":
-        parser.error("--quick conflicts with --scale " + args.scale)
-    if args.quick:
-        args.scale = "quick"
     if args.scale:
         from repro.experiments.config import FULL, QUICK, TINY
 
@@ -933,22 +822,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"(choose from: {', '.join(SECTIONS)}, all)"
             )
 
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     for name in selected:
-        _, output_attr, build = SECTIONS[name]
+        _, build = SECTIONS[name]
         print(f"\nrunning {name} benches at scale={scale.name} ...")
         report = build(scale)
-        embed_ledger_entry(report, name)
-        output = getattr(args, output_attr)
+        output = args.out_dir / f"BENCH_{name}.json"
         output.write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report, indent=2))
         print(f"\nwrote {output}")
-        if args.ledger is not None:
-            from repro.observe.ledger import RunEntry, RunLedger
-
-            run_id = RunLedger(args.ledger).append(
-                RunEntry.from_dict(report["ledger"])
-            )
-            print(f"[ledger: {run_id} -> {args.ledger}]")
     return 0
 
 
