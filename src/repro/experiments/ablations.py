@@ -175,6 +175,9 @@ class _StaleLoadFM(_FM):
     """FM variant whose load metric is sampled only every
     ``refresh_ms`` — the coarse-grained indicator the paper rejects."""
 
+    #: No tick elision: each tick may refresh the cached load.
+    next_action_ms = None
+
     def __init__(self, table: IntervalTable, refresh_ms: float) -> None:
         super().__init__(table)
         self.name = f"FM/stale{refresh_ms:g}ms"
@@ -204,7 +207,7 @@ class _StaleLoadFM(_FM):
 
     def on_quantum(self, ctx: SchedulerContext, request: SimRequest) -> int:
         row = self.table.lookup(max(1, self._load(ctx)))
-        progress = request.effective_progress_ms()
+        progress = ctx.effective_progress_ms(request)
         desired = max(row.degree_at_progress(progress), request.degree)
         if (
             self.boosting

@@ -87,6 +87,10 @@ class EnergyAwareFMScheduler(FMScheduler):
         self.min_free_cores = min_free_cores
         self.name = "EA-" + self.name
 
+    #: No tick elision: the migration check reads wall-clock age and
+    #: pool headroom, which change without any FM threshold crossing.
+    next_action_ms = None
+
     # ------------------------------------------------------------------
     def _park_on_little(
         self, ctx: SchedulerContext, decision: Admission

@@ -78,6 +78,11 @@ class ReprofilingFMScheduler(FMScheduler):
         windows converge.
     """
 
+    #: No tick elision: the table is rebuilt at exits, which change
+    #: thresholds without changing the load or any rate the engine
+    #: watches before re-asking a hint.
+    next_action_ms = None
+
     def __init__(
         self,
         initial_table: IntervalTable,

@@ -77,6 +77,13 @@ class SimRequest:
         "migrations",
         "settled_core_ms",
         "settled_work",
+        "tick_base",
+        "tick_next",
+        "tick_seq",
+        "tick_event",
+        "hint_load",
+        "hint_factor",
+        "hint_degree",
     )
 
     def __init__(
@@ -103,6 +110,8 @@ class SimRequest:
         self.core_time_ms = 0.0
         #: Full-speed-equivalent execution time: wall time weighted by
         #: the contention factor.  Equals wall time when uncontended.
+        #: Current as of the engine's last commit; mid-run readers use
+        #: :meth:`SchedulerContext.effective_progress_ms`.
         self.effective_ms = 0.0
         #: Wall-time spent at each degree, ``{degree: ms}``.
         self.degree_residency: dict[int, float] = {}
@@ -157,6 +166,20 @@ class SimRequest:
         #: settlement (start, or the last migration).
         self.settled_core_ms = 0.0
         self.settled_work = seq_ms
+        #: Quantum-tick state, set by the engine at start: tick ``k``
+        #: falls at ``start_ms + k * quantum_ms`` and is pushed with
+        #: heap sequence ``tick_base + k``; ``tick_next`` is the first
+        #: grid index not yet delivered and ``tick_seq`` the sequence of
+        #: the one armed tick (-1 when none is armed).
+        self.tick_base = 0
+        self.tick_next = 1
+        self.tick_seq = -1
+        self.tick_event = None
+        #: The load, contention factor and degree the tick was last
+        #: derived under (the engine re-asks the hint when one changes).
+        self.hint_load = -1
+        self.hint_factor = 0.0
+        self.hint_degree = 0
 
     # ------------------------------------------------------------------
     def start(self, now_ms: float, degree: int) -> None:
@@ -198,14 +221,6 @@ class SimRequest:
         if self.start_ms is None:
             return 0.0
         return now_ms - self.start_ms
-
-    def effective_progress_ms(self) -> float:
-        """Contention-normalized execution time: how long the request
-        *would* have been running at full speed to reach its current
-        work state.  Climbing the interval table on this index instead
-        of wall time avoids over-parallelizing when the server is
-        oversubscribed (wall time keeps passing while work stalls)."""
-        return self.effective_ms
 
     def advance(
         self,

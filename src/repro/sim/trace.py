@@ -77,6 +77,9 @@ class TraceRecorder(Scheduler):
     def __init__(self, inner: Scheduler, telemetry: Telemetry | None = None) -> None:
         self.inner = inner
         self.uses_quantum = inner.uses_quantum
+        # Recording fires only when a tick raises or boosts, so the
+        # inner policy's tick-elision hint holds for the wrapper too.
+        self.next_action_ms = getattr(inner, "next_action_ms", None)
         self.name = f"trace({inner.name})"
         resolved = resolve_telemetry(telemetry)
         #: Whether the tracer is private (reset clears it wholesale) or

@@ -2,11 +2,13 @@
 
 Two claims, attested here:
 
-1. **Bit-identity on the degenerate topology** — a single-pool,
-   speed-1.0 topology must reproduce the legacy homogeneous engine
-   *and* the frozen :mod:`repro.sim._baseline` reference bit for bit,
-   across schedulers, load levels, and fault injection.  Energy
-   accounting rides along without perturbing a single float.
+1. **The degenerate topology changes nothing** — a single-pool,
+   speed-1.0 topology must reproduce the homogeneous engine bit for
+   bit, and the frozen :mod:`repro.sim._baseline` reference under the
+   engine's contract (same decisions, floats within a stated relative
+   bound; ``tests/sim/test_engine_equivalence``), across schedulers,
+   load levels, and fault injection.  Energy accounting rides along
+   without perturbing a single float.
 2. **Energy model invariants** — the per-request energy attribution
    sums to the pools' active+spin (with migrations and faults too),
    the three-way decomposition adds up to the total, active energy
@@ -25,11 +27,11 @@ from repro.faults.plan import FaultPlan
 from repro.hetero import CorePool, Topology
 from repro.schedulers import FixedScheduler, FMScheduler, HurryUpScheduler
 from repro.sim import Engine, simulate
-from repro.sim._baseline import simulate_baseline
 from repro.sim.api import Admission, Scheduler, SchedulerContext
 from tests.sim.test_engine import _arrivals
 from tests.sim.test_engine_equivalence import (
     _SCHEDULER_FACTORIES,
+    _against_reference,
     _assert_identical,
     _interval_table,
     _sweep_arrivals,
@@ -41,7 +43,8 @@ def _single_pool(cores: int = 6) -> Topology:
 
 
 class TestSinglePoolBitIdentity:
-    """The acceptance gate: homogeneous config stays bit-identical."""
+    """The acceptance gate: a single pool is bit-identical to no
+    topology, and within the contract of the reference engine."""
 
     @pytest.mark.parametrize("policy", sorted(_SCHEDULER_FACTORIES))
     @pytest.mark.parametrize("load", ["light", "saturated"])
@@ -51,11 +54,11 @@ class TestSinglePoolBitIdentity:
             rps, n, seed=zlib.crc32(f"hetero/{policy}/{load}".encode())
         )
         factory = _SCHEDULER_FACTORIES[policy]
-        hetero = simulate(arrivals, factory(), cores=6, topology=_single_pool())
+        hetero, _ = _against_reference(
+            arrivals, factory, topology=_single_pool(), cores=6
+        )
         legacy = simulate(arrivals, factory(), cores=6)
-        reference = simulate_baseline(arrivals, factory(), cores=6)
         _assert_identical(hetero, legacy)
-        _assert_identical(hetero, reference)
         # Energy rides along on the hetero path only.
         assert hetero.energy is not None
         assert legacy.energy is None
@@ -70,13 +73,10 @@ class TestSinglePoolBitIdentity:
             straggler_rate=0.1,
             straggler_mu=0.7,
         )
-        factory = _SCHEDULER_FACTORIES["fm"]
-        hetero = simulate(
-            arrivals, factory(), cores=6, fault_plan=plan,
-            topology=_single_pool(),
+        _against_reference(
+            arrivals, _SCHEDULER_FACTORIES["fm"], topology=_single_pool(),
+            cores=6, fault_plan=plan,
         )
-        reference = simulate_baseline(arrivals, factory(), cores=6, fault_plan=plan)
-        _assert_identical(hetero, reference)
 
     def test_speed_one_multiplication_is_exact(self):
         # The reduction relies on x * 1.0 == x bitwise; spot-check the

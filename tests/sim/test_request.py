@@ -123,7 +123,7 @@ class TestAdvance:
         req.rate = 0.5
         req.advance(10.0, 0.5, progress_factor=0.5)
         assert req.progress_ms(10.0) == pytest.approx(10.0)
-        assert req.effective_progress_ms() == pytest.approx(5.0)
+        assert req.effective_ms == pytest.approx(5.0)
 
     def test_latency_requires_finish(self):
         req = _request()
