@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.observe import SLOMonitor, SLOTarget
@@ -90,6 +91,37 @@ class TestWindows:
             monitor.observe(latency, at_ms=float(i))
         # ceil(0.9 * 5) = 5th of 5 -> 50.
         assert monitor.percentile("short") == 50.0
+
+    @given(
+        stream=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=400.0),  # gap to the last sample
+                st.sampled_from([0.0, 5.0, 10.0, 10.0, 99.5, 250.0]),  # duplicates
+            ),
+            max_size=60,
+        ),
+        q=st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_percentile_matches_a_sort(self, stream, q):
+        """The sorted companion list answers exactly what sorting the
+        window's samples answers, through duplicates and evictions."""
+        window = _monitor()._short
+        at = 0.0
+        for gap, latency in stream:
+            at += gap
+            window.add(at, latency)
+            kept = sorted(latency for _, latency in window.samples)
+            assert window.ordered == kept
+            expected = kept[max(0, math.ceil(q * len(kept)) - 1)]
+            assert window.percentile(q) == expected
+        window.evict(at + 10_000.0)
+        assert window.ordered == []
+        assert math.isnan(window.percentile(q))
+
+    def test_nan_latency_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            _monitor().observe(math.nan, at_ms=0.0)
 
     def test_counts_and_violations(self):
         monitor = _monitor()
