@@ -75,9 +75,9 @@ def run_gate(tmp_path: Path, report, name: str = "report.json") -> int:
     return gate.main([str(path)])
 
 
-def test_the_table_holds_29_rows_across_five_sections():
+def test_the_table_holds_31_rows_across_five_sections():
     counts = {s: sum(1 for row in gate.CHECKS if row[0] == s) for s in SECTIONS}
-    assert counts == {"engine": 5, "hetero": 5, "observe": 5, "replication": 4, "diff": 10}
+    assert counts == {"engine": 6, "hetero": 6, "observe": 5, "replication": 4, "diff": 10}
 
 
 @pytest.mark.parametrize("section", SECTIONS)
@@ -120,7 +120,7 @@ def test_empty_phase_diagram_fails(tmp_path):
 @pytest.mark.parametrize(
     "section, path, value",
     [
-        ("engine", "single_process.bit_identical_to_reference", 1),
+        ("engine", "single_process.decisions_identical", 1),
         ("diff", "null_test.cross_identical", None),
         ("hetero", "frontier.dominated_points", "2"),
         ("hetero", "frontier.dominated_points", True),
