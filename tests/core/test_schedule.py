@@ -52,6 +52,16 @@ class TestScheduleSemantics:
         assert sched.degree_at_progress(99.0) == 1
         assert sched.degree_at_progress(100.0) == 2
 
+    def test_raise_thresholds_name_the_next_higher_step(self):
+        sched = Schedule(
+            [ScheduleStep(30.0, 2), ScheduleStep(80.0, 3), ScheduleStep(130.0, 5)]
+        )
+        # Progress counts from the start: d > 0 and d > 1 from 0, d > 2
+        # at 50, d > 3 and d > 4 at 100, nothing above the top.
+        assert sched.raise_thresholds == (0.0, 0.0, 50.0, 100.0, 100.0, math.inf)
+        for degree, threshold in enumerate(sched.raise_thresholds[:-1]):
+            assert sched.degree_at_progress(threshold) > degree
+
     def test_describe_matches_table2_style(self):
         sched = Schedule([ScheduleStep(0.0, 1), ScheduleStep(50.0, 3)])
         assert sched.describe() == "0, d1  50, d3"
