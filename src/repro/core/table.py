@@ -75,6 +75,9 @@ class IntervalTable:
             raise ConfigurationError("interval table needs at least one row")
         self._schedules: tuple[Schedule, ...] = tuple(schedules)
         self.metadata = metadata
+        #: The largest degree any row prescribes: FM never raises a
+        #: request past it.
+        self.top_degree = max(schedule.max_degree for schedule in self._schedules)
 
     @property
     def max_load(self) -> int:

@@ -47,6 +47,11 @@ class TestLookup:
         table = IntervalTable(_rows()[:3])
         assert table.admission_capacity() is None
 
+    def test_top_degree_is_the_largest_row_degree(self):
+        assert IntervalTable(_rows()).top_degree == 4
+        rows = [Schedule([ScheduleStep(0.0, 2)]), Schedule([ScheduleStep(10.0, 3)])]
+        assert IntervalTable(rows).top_degree == 3
+
     def test_iteration_and_len(self):
         table = IntervalTable(_rows())
         assert len(table) == 5
