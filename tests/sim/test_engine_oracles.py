@@ -9,8 +9,13 @@ bookkeeping.
   ``==`` on every float, the same run through a delegate that forwards
   every hook but offers no ``next_action_ms`` hint, so the engine
   delivers every quantum tick.  Streamed runs included.
+* **Per-request time adds up to the run's.**  The records' summed
+  thread time and core time equal the engine's run-level thread and
+  busy-core integrals, to a relative ``ACCOUNTING_RTOL``: the engine
+  settles each request's integrals at its own state changes and the
+  run's at every event, so the two are independent accounting paths.
 
-Both hold over schedulers (SEQ, FIX-N, FM in both progress modes with
+All three hold over schedulers (SEQ, FIX-N, FM in both progress modes with
 and without boosting or shedding, EA-FM, Hurry-up) x topologies (none,
 one homogeneous pool, 2+4 big/little) x fault plans (none; stalls,
 stragglers and core loss together).
@@ -40,6 +45,9 @@ from tests.sim.test_engine_equivalence import _interval_table
 #: Relative slack of the Little's-law sandwich (float accumulation);
 #: the same bound the repository benchmark applies to its workloads.
 LITTLE_RTOL = 1e-6
+#: Relative slack of the per-request vs run-level accounting (the same
+#: intervals, summed in a different order).
+ACCOUNTING_RTOL = 1e-9
 CORES = 6
 
 SCHEDULERS = {
@@ -151,6 +159,16 @@ def test_littles_law_sandwich(cell):
     )
     assert execution * (1.0 - LITTLE_RTOL) <= integral
     assert integral <= response * (1.0 + LITTLE_RTOL)
+
+
+@given(cell=cells)
+@settings(max_examples=100, deadline=None)
+def test_request_time_adds_up_to_the_run_integrals(cell):
+    result = _run(cell, SCHEDULERS[cell["policy"]]())
+    threads = math.fsum(r.thread_time_ms for r in result.records)
+    cores = math.fsum(r.core_time_ms for r in result.records)
+    assert math.isclose(threads, result._thread_integral, rel_tol=ACCOUNTING_RTOL)
+    assert math.isclose(cores, result._core_busy_integral, rel_tol=ACCOUNTING_RTOL)
 
 
 def _assert_same(ours, theirs):
