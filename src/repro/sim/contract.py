@@ -6,10 +6,10 @@ on a closed-form grid (DESIGN.md §10).  The two therefore agree under a
 contract, not bit for bit:
 
 * the same decision sequence — admissions with the load each saw,
-  degree raises at the same tick, boosts and exits, as a
-  :class:`~repro.sim.trace.TraceRecorder` records them — the same
-  completion order, and equal counts, shed records (bar their times)
-  and fault statistics;
+  sheds with their deadline flag, degree raises at the same tick,
+  boosts and exits, as a :class:`~repro.sim.trace.TraceRecorder`
+  records them — the same completion order, and equal counts and
+  fault statistics;
 * start, finish, latency, shed and decision times within
   :data:`TIME_RTOL` relative;
 * integrated fields within :data:`INTEGRAL_RTOL` relative to
@@ -56,9 +56,10 @@ _INTEGRAL_FIELDS = (
     "boost_wait_ms", "stall_ms",
 )
 _SYSTEM_INTEGRALS = ("_thread_integral", "_core_busy_integral", "_system_count_integral")
-#: Decisions compared with their detail (the degree); the others by
-#: kind, request and load only (their detail prints floats).
-_DETAILED = (TraceEventKind.ADMIT, TraceEventKind.DEGREE_UP)
+#: Decisions compared with their detail (the degree, the deadline
+#: flag); the others by kind, request and load only (their detail
+#: prints floats).
+_DETAILED = (TraceEventKind.ADMIT, TraceEventKind.DEGREE_UP, TraceEventKind.SHED)
 
 
 def relative_diff(ours: float, theirs: float, scale: float = 0.0) -> float:
@@ -72,8 +73,7 @@ class ContractReport:
     """One engine run against the reference run of the same trace."""
 
     #: The first exact comparison that failed (decisions, completion
-    #: order, a record's exact field, shed records, fault statistics),
-    #: or ``None``.
+    #: order, a record's exact field, fault statistics), or ``None``.
     mismatch: str | None
     #: Largest relative difference of a time.
     max_time_diff: float
@@ -135,10 +135,6 @@ def check_against_reference(
         mismatch = "completion order"
     elif len(result.records) != len(reference.records):
         mismatch = f"{len(result.records)} records != {len(reference.records)}"
-    elif [(s.rid, s.arrival_ms, s.deadline) for s in result.shed_records] != [
-        (s.rid, s.arrival_ms, s.deadline) for s in reference.shed_records
-    ]:
-        mismatch = "shed records"
     elif result.fault_stats.as_dict() != reference.fault_stats.as_dict():
         mismatch = "fault statistics"
     else:

@@ -2,7 +2,7 @@
 
 A :class:`TraceRecorder` wraps any :class:`~repro.sim.api.Scheduler`
 and records every decision the policy makes — admissions, delays,
-queueing, degree changes, boosts, exits — with timestamps and the load
+queueing, sheds, degree changes, boosts, exits — with timestamps and the load
 observed at each decision.  Traces make scheduler behaviour inspectable
 ("why did request 17 climb to degree 3 at t = 210 ms?") and power the
 per-request timeline renderer used in debugging and the examples.
@@ -48,6 +48,7 @@ class TraceEventKind(enum.Enum):
     ADMIT = "admit"
     DELAY = "delay"
     QUEUE = "queue"
+    SHED = "shed"
     DEGREE_UP = "degree_up"
     BOOST = "boost"
     EXIT = "exit"
@@ -124,6 +125,8 @@ class TraceRecorder(Scheduler):
             kind, detail = TraceEventKind.ADMIT, f"d{decision.degree}"
         elif decision.action is AdmissionAction.DELAY:
             kind, detail = TraceEventKind.DELAY, f"{decision.delay_ms:g}ms"
+        elif decision.action is AdmissionAction.SHED:
+            kind, detail = TraceEventKind.SHED, decision.deadline
         else:
             kind, detail = TraceEventKind.QUEUE, "e1"
         self._emit(ctx, kind, request.rid, detail)

@@ -58,6 +58,22 @@ class TestTraceRecorder:
         simulate([_spec(0.0, 100.0)] * 3, recorder, cores=8, quantum_ms=5.0)
         assert recorder.counts().get(TraceEventKind.QUEUE, 0) >= 1
 
+    def test_records_sheds_apart_from_queueing(self):
+        # Loads 1 and 2 start; load 3 queues behind e1.  With a backlog
+        # bound of one the fourth arrival is shed at once, and the
+        # queued request is shed by its deadline when the first exit
+        # re-checks it.
+        recorder = TraceRecorder(FMScheduler(_fm_table(), max_backlog=1, deadline_ms=20.0))
+        result = simulate([_spec(0.0, 100.0)] * 4, recorder, cores=8, quantum_ms=5.0)
+        assert [(s.rid, s.deadline) for s in result.shed_records] == [(3, False), (2, True)]
+        sheds = [e for e in recorder.events if e.kind is TraceEventKind.SHED]
+        assert [(e.request_id, e.detail) for e in sheds] == [(3, False), (2, True)]
+        assert [e.kind for e in recorder.timeline(2)] == [
+            TraceEventKind.QUEUE,
+            TraceEventKind.SHED,
+        ]
+        assert [e.kind for e in recorder.timeline(3)] == [TraceEventKind.SHED]
+
     def test_render_and_limit(self):
         recorder = TraceRecorder(SequentialScheduler())
         simulate([_spec(0.0, 50.0)] * 4, recorder, cores=8)
