@@ -14,9 +14,12 @@ gate: one ``(benchmark, dotted path, op, bound)`` row per check.  A
 * ``>=`` / ``<=`` / ``==``: the value compared with ``bound``.
 * ``all<=``: a non-empty list whose every element is ``<= bound``.
 * ``band``: ``fresh >= committed * (1 - bound)``, the cross-run
-  throughput floor.  Its width absorbs runner-to-runner hardware
-  variance; every other row is seeded or same-machine, so it holds on
-  any host.
+  throughput floor.
+* ``ceiling``: ``fresh <= committed * (1 + bound)``, the cross-run
+  cost ceiling.
+
+The two cross-run widths absorb runner-to-runner hardware variance;
+every other row is seeded or same-machine, so it holds on any host.
 
 A row fails when its value is missing, of the wrong type, non-finite
 or an empty list.  After the rows the gate prints the largest relative
@@ -58,8 +61,8 @@ CHECKS = (
     # Live observability plane (DESIGN.md §13).
     ("observe", "live_tail.flag_leads_breach", "true", None),
     ("observe", "live_tail.replay_matches_analyze", "true", None),
-    # Engine slowdown in percent with a fully armed plane attached.
-    ("observe", "live_plane.overhead_enabled_pct", "<=", 40.0),
+    # A fully armed plane's fixed price per completion, in µs.
+    ("observe", "live_plane.on_minus_off_us_per_completion", "ceiling", 0.50),
     ("observe", "analyzer.spans_per_s", "band", 0.30),
     ("observe", "live_plane.off_requests_per_s", "band", 0.30),
     # Adaptive replication (DESIGN.md §11): adaptive p99 over the best
@@ -83,6 +86,8 @@ CHECKS = (
 )
 
 _MISSING = object()
+#: Ops judged against the committed report's value.
+_CROSS_RUN = ("band", "ceiling")
 
 
 class BadInput(Exception):
@@ -140,20 +145,22 @@ def evaluate(op: str, bound, value, committed=None) -> bool:
         return value <= bound
     if op == "band":
         return _finite(committed) and value >= committed * (1.0 - bound)
+    if op == "ceiling":
+        return _finite(committed) and value <= committed * (1.0 + bound)
     raise ValueError(f"unknown op {op!r}")
 
 
 def check(report: dict, baseline: dict) -> list[tuple[str, bool | None]]:
     """``(line, verdict)`` for each ``CHECKS`` row of ``report``'s
     benchmark; the verdict is ``None`` when the path is absent from
-    the report or, for a band, from the baseline."""
+    the report or, for a band or ceiling, from the baseline."""
     benchmark = report.get("benchmark")
     verdicts = []
     for row_benchmark, path, op, bound in CHECKS:
         if row_benchmark != benchmark:
             continue
         value = resolve(report, path)
-        committed = resolve(baseline, path) if op == "band" else None
+        committed = resolve(baseline, path) if op in _CROSS_RUN else None
         if value is _MISSING or committed is _MISSING:
             side = "report" if value is _MISSING else "baseline"
             verdicts.append((f"MISSING {benchmark} {path} (not in {side})", None))
@@ -162,6 +169,9 @@ def check(report: dict, baseline: dict) -> list[tuple[str, bool | None]]:
         if op == "band":
             floor = committed * (1.0 - bound) if _finite(committed) else math.nan
             rule = f"band -{bound:.0%}: {value!r} vs committed {committed!r}, floor {floor:,.1f}"
+        elif op == "ceiling":
+            cap = committed * (1.0 + bound) if _finite(committed) else math.nan
+            rule = f"ceiling +{bound:.0%}: {value!r} vs committed {committed!r}, cap {cap:,.3f}"
         elif op in ("true", "false"):
             rule = f"is {op}: {value!r}"
         else:

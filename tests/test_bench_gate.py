@@ -28,7 +28,7 @@ ROWS = [pytest.param(row, id=f"{row[0]}:{row[1]}") for row in gate.CHECKS]
 NUMERIC_ROWS = [
     pytest.param(row, id=f"{row[0]}:{row[1]}")
     for row in gate.CHECKS
-    if row[2] in (">=", "<=", "band", "all<=")
+    if row[2] in (">=", "<=", "band", "ceiling", "all<=")
 ]
 
 
@@ -58,6 +58,7 @@ def failing_value(op: str, bound, value):
         "==": lambda: "queue_ms",
         "all<=": lambda: bound + 1,
         "band": lambda: value * (1.0 - bound) * 0.99,
+        "ceiling": lambda: value * (1.0 + bound) * 1.01,
     }[op]()
 
 
@@ -124,7 +125,7 @@ def test_empty_phase_diagram_fails(tmp_path):
         ("diff", "null_test.cross_identical", None),
         ("hetero", "frontier.dominated_points", "2"),
         ("hetero", "frontier.dominated_points", True),
-        ("observe", "live_plane.overhead_enabled_pct", math.inf),
+        ("observe", "live_plane.on_minus_off_us_per_completion", math.inf),
         ("diff", "versus.top_phase", ["contention_ms"]),
     ],
 )
@@ -137,6 +138,12 @@ def test_band_floor_is_inclusive():
     assert gate.evaluate("band", 0.25, 75.0, 100.0)
     assert not gate.evaluate("band", 0.25, 74.999, 100.0)
     assert not gate.evaluate("band", 0.25, 90.0, math.nan)
+
+
+def test_ceiling_cap_is_inclusive():
+    assert gate.evaluate("ceiling", 0.5, 15.0, 10.0)
+    assert not gate.evaluate("ceiling", 0.5, 15.001, 10.0)
+    assert not gate.evaluate("ceiling", 0.5, 5.0, math.nan)
 
 
 def test_missing_path_exits_2(tmp_path, capsys):
