@@ -10,11 +10,10 @@ It also carries the *flight recorder*: an additive decomposition of the
 request's eventual latency into queue wait, full-speed-equivalent
 service, processor-sharing contention inflation, boost wait (contention
 suffered while a requested boost was denied), and injected-stall time.
-Within each constant-rate interval the engine commits, the wall time
-``dt`` splits exactly — stalled intervals are all stall, and running
-intervals split into ``factor*dt`` service plus ``(1-factor)*dt``
-slowdown — so the components telescope to the measured latency (see
-DESIGN.md §9).
+Within each interval the engine settles, the wall time ``dt`` splits
+exactly — stalled intervals are all stall, and running intervals split
+into ``∫factor dt`` service plus ``dt - ∫factor dt`` slowdown — so the
+components telescope to the measured latency (see DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -68,10 +67,18 @@ class SimRequest:
         "attr_contention_ms",
         "attr_boost_wait_ms",
         "attr_stall_ms",
-        "share_factor",
-        "share_cores",
+        "_share_factor",
+        "service_class",
         "degree_speedup",
         "degree_demand",
+        "demand_units",
+        "settled_ms",
+        "anchor_effective",
+        "anchor_effective_lo",
+        "anchor_service",
+        "anchor_service_lo",
+        "completion_seq",
+        "run_order",
         "pool",
         "energy_mj",
         "migrations",
@@ -104,18 +111,22 @@ class SimRequest:
         self.boosted = False
         self.start_ms: float | None = None
         self.finish_ms: float | None = None
-        #: Integral of software-thread count over execution time.
+        #: Integral of software-thread count over execution time.  This
+        #: field and the other integrals below are current as of the
+        #: request's last settle (``settled_ms``): the engine settles a
+        #: request only when its own state changes.
         self.thread_time_ms = 0.0
         #: Integral of physical-core usage (threads x share) over time.
         self.core_time_ms = 0.0
         #: Full-speed-equivalent execution time: wall time weighted by
         #: the contention factor.  Equals wall time when uncontended.
-        #: Current as of the engine's last commit; mid-run readers use
+        #: Mid-run readers use
         #: :meth:`SchedulerContext.effective_progress_ms`.
         self.effective_ms = 0.0
         #: Wall-time spent at each degree, ``{degree: ms}``.
         self.degree_residency: dict[int, float] = {}
-        #: Current work-depletion rate (sequential-ms per wall-ms).
+        #: Work-depletion rate (sequential-ms per wall-ms) at the last
+        #: settle.
         self.rate = 0.0
         #: Opaque caller payload (e.g. the originating query).
         self.tag = tag
@@ -141,18 +152,31 @@ class SimRequest:
         self.attr_boost_wait_ms = 0.0
         #: Wall time frozen by injected worker stalls.
         self.attr_stall_ms = 0.0
-        #: Engine-managed allocation state, refreshed by the fluid-rate
-        #: machinery: the current contention factor and physical-core
-        #: share (what :class:`~repro.sim.processor.ThreadAllocation`
-        #: carries, stored inline to avoid per-event dict churn) ...
-        self.share_factor = 0.0
-        self.share_cores = 0.0
-        #: ... and the per-degree caches — ``s(degree)`` and occupancy
-        #: ``o(degree)`` are pure in the degree, so the engine
-        #: recomputes them only when the degree changes instead of on
-        #: every allocation round.
+        #: Engine-managed allocation state.  While the request runs it
+        #: belongs to one service class (its pool's boosted or
+        #: unboosted requests, which share a contention factor; see
+        #: :attr:`share_factor`) ...
+        self.service_class = None
+        self._share_factor = 0.0
+        #: ... and the per-degree caches — ``s(degree)``, occupancy
+        #: ``o(degree)`` and ``o(degree)`` in integer units of 2**-52
+        #: are pure in the degree, so the engine recomputes them only
+        #: when the degree changes instead of on every allocation round.
         self.degree_speedup = 0.0
         self.degree_demand = 0.0
+        self.demand_units = 0
+        #: Settle anchors: the time of the last settle and the service
+        #: class's two (double-double) clocks then.  Progress since is
+        #: the class's effective-clock advance; work retired since is
+        #: ``s(degree)`` times its service-clock advance.
+        self.settled_ms = 0.0
+        self.anchor_effective = self.anchor_effective_lo = 0.0
+        self.anchor_service = self.anchor_service_lo = 0.0
+        #: Id of the request's live entry in its class's completion
+        #: heap (-1 when it has none: not running, or stalled), and its
+        #: position in the running set (start order).
+        self.completion_seq = -1
+        self.run_order = 0
         #: Heterogeneous-topology state (``repro.hetero``): the core
         #: pool this request's threads currently occupy, the energy its
         #: execution has drawn (in watt-ms = millijoules, settled by the
@@ -180,6 +204,17 @@ class SimRequest:
         self.hint_load = -1
         self.hint_factor = 0.0
         self.hint_degree = 0
+
+    @property
+    def share_factor(self) -> float:
+        """The contention factor: its service class's while running,
+        else the last one it ran at (or a value set directly)."""
+        klass = self.service_class
+        return self._share_factor if klass is None else klass.factor
+
+    @share_factor.setter
+    def share_factor(self, value: float) -> None:
+        self._share_factor = value
 
     # ------------------------------------------------------------------
     def start(self, now_ms: float, degree: int) -> None:
