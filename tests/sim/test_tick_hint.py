@@ -55,8 +55,9 @@ class TestWorkCounters:
             # ticks 5-7 after the raise (d2 is the row's top).
             "ticks_delivered": 1,
             "ticks_elided": 6,
-            # The raise at 20 and the completion at 40 each commit the
-            # one running request; the arrival at 0 has nothing to do.
+            # The raise at 20 and the completion at 40 each commit and
+            # settle the one running request; the arrival at 0 has
+            # nothing to do.
             "commits": 2,
             "commit_visits": 2,
             # Start, raise, exit.
