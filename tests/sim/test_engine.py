@@ -225,6 +225,21 @@ class TestAdmissionControl:
         b = [r for r in result.records if r.rid == 1][0]
         assert b.start_ms == pytest.approx(20.0)
 
+    def test_waiting_request_reports_no_progress(self):
+        """A policy may read a queued request's progress while it waits."""
+        seen = []
+
+        class Watcher(FMScheduler):
+            def on_wait_check(self, ctx, request):
+                seen.append(ctx.effective_progress_ms(request))
+                return super().on_wait_check(ctx, request)
+
+        result = simulate(
+            _arrivals([(0.0, 100.0)] * 4), Watcher(self._table_with_e1()), cores=8
+        )
+        assert len(result) == 4
+        assert seen and set(seen) == {0.0}
+
 
 class TestSharedAdmissions:
     """Admissions are immutable, so the common decisions are shared
